@@ -173,10 +173,11 @@ pub struct InstalledWorkload {
     /// Post-run telemetry reader.
     pub probe: Box<dyn WorkloadProbe>,
     /// The workload's natural activity period, if it has one (the pollers'
-    /// scaled poll interval). A fleet driver probing for steady states uses
-    /// it as the epoch length: probing much finer wastes probe scans,
-    /// probing much coarser classifies whole active periods as Dynamic.
-    /// `None` means "no obvious period" — the driver picks a default.
+    /// scaled poll interval). The fleet driver uses it as its first span
+    /// length under fast-forward, doubling from there: every span edge is
+    /// a chance for the frozen fast-forward to take over from reduced
+    /// stepping. `None` means "no obvious period" — the driver picks a
+    /// default.
     pub steady_hint: Option<SimDuration>,
     /// The feeds a policy engine may observe and re-rate, in install
     /// order. Empty for workloads that own their rates (the browser's

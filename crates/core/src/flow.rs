@@ -69,6 +69,35 @@ struct SourceTaps {
     live_prop: usize,
 }
 
+/// Per-sink slice of the inbound index: what can refill one reserve.
+#[derive(Debug, Default, Clone, Copy)]
+struct SinkTaps {
+    /// Live taps (any rate, either kind) sinking here.
+    taps: u32,
+    /// Sum of their constant rates, µW (grains per second for quota kinds).
+    const_uw: u64,
+    /// How many of them are proportional with a nonzero rate.
+    live_prop: u32,
+}
+
+impl SinkTaps {
+    /// Folds a tap's rate into the sums (`taps` counts separately: a
+    /// re-rate removes the old rate and adds the new one).
+    fn add(&mut self, rate: RateSpec) {
+        if let RateSpec::Const(p) = rate {
+            self.const_uw += p.as_microwatts();
+        }
+        self.live_prop += u32::from(is_live_prop(rate));
+    }
+
+    fn remove(&mut self, rate: RateSpec) {
+        if let RateSpec::Const(p) = rate {
+            self.const_uw -= p.as_microwatts();
+        }
+        self.live_prop -= u32::from(is_live_prop(rate));
+    }
+}
+
 /// What the run planner decided about one source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SourceRun {
@@ -117,10 +146,12 @@ pub(crate) struct FlowEngine {
     order: Vec<(u64, TapId)>,
     /// Tap lists keyed by source reserve.
     by_source: HashMap<RawId, SourceTaps>,
-    /// Inbound-tap count per reserve (any rate, either kind): O(1) "can a
-    /// tap refill this reserve?" for run planning and the kernel's
-    /// idle-skip guard.
-    inbound: HashMap<RawId, u32>,
+    /// Inbound taps per reserve (any rate, either kind), with their summed
+    /// constant rate and live proportional count: O(1) "can a tap refill
+    /// this reserve, and how fast at most?" for run planning and the
+    /// kernel's fast-forward guards. Reserves with no inbound tap have no
+    /// entry.
+    inbound: HashMap<RawId, SinkTaps>,
     /// Sources with at least one live proportional tap — the reserves the
     /// per-tick snapshot must cover, kept dense so the tick loop does not
     /// walk the whole `by_source` map.
@@ -242,7 +273,9 @@ impl FlowEngine {
         self.order.push((seq, id));
         let entry = self.by_source.entry(source).or_default();
         entry.taps.insert(seq, id);
-        *self.inbound.entry(sink).or_insert(0) += 1;
+        let inbound = self.inbound.entry(sink).or_default();
+        inbound.taps += 1;
+        inbound.add(rate);
         if is_live_prop(rate) {
             entry.live_prop += 1;
             self.live_prop += 1;
@@ -272,9 +305,10 @@ impl FlowEngine {
         if prop_source_died {
             self.drop_prop_source(source);
         }
-        if let Some(count) = self.inbound.get_mut(&sink) {
-            *count -= 1;
-            if *count == 0 {
+        if let Some(inbound) = self.inbound.get_mut(&sink) {
+            inbound.taps -= 1;
+            inbound.remove(rate);
+            if inbound.taps == 0 {
                 self.inbound.remove(&sink);
             }
         }
@@ -283,6 +317,15 @@ impl FlowEngine {
     /// Whether any live tap (of any rate) sinks into `reserve` — O(1).
     pub(crate) fn has_inbound(&self, reserve: RawId) -> bool {
         self.inbound.contains_key(&reserve)
+    }
+
+    /// What can refill `reserve`: the summed constant rate of its inbound
+    /// taps (µW), whether a live proportional tap also feeds it, and the
+    /// inbound tap count — O(1), off the per-sink index.
+    pub(crate) fn inbound_feed(&self, reserve: RawId) -> (u64, bool, u32) {
+        self.inbound
+            .get(&reserve)
+            .map_or((0, false, 0), |i| (i.const_uw, i.live_prop > 0, i.taps))
     }
 
     /// The live taps draining `reserve`, in creation order — O(outbound
@@ -294,8 +337,21 @@ impl FlowEngine {
             .flat_map(|entry| entry.taps.values().copied())
     }
 
-    /// Updates prop/const classification when a tap's rate changes.
-    pub(crate) fn on_tap_rate_changed(&mut self, source: RawId, old: RateSpec, new: RateSpec) {
+    /// Updates the sink's rate sum and the source's prop/const
+    /// classification when a tap's rate changes.
+    pub(crate) fn on_tap_rate_changed(
+        &mut self,
+        source: RawId,
+        sink: RawId,
+        old: RateSpec,
+        new: RateSpec,
+    ) {
+        let inbound = self
+            .inbound
+            .get_mut(&sink)
+            .expect("rate change on unindexed tap");
+        inbound.remove(old);
+        inbound.add(new);
         let (was, is) = (is_live_prop(old), is_live_prop(new));
         if was == is {
             return;
@@ -1383,6 +1439,108 @@ mod differential {
         reference_g.flow_until_reference(hour);
         assert_eq!(dump(&engine_g), dump(&reference_g));
         assert!(engine_g.totals().conserved());
+    }
+
+    /// The per-sink inbound feed recomputed from scratch by a full tap
+    /// scan — the spec the O(1) index must match.
+    fn scanned_feed(g: &ResourceGraph, sink: ReserveId) -> (Power, bool, u32) {
+        let mut rate = Power::ZERO;
+        let (mut prop, mut taps) = (false, 0u32);
+        for (_, tap) in g.taps().filter(|(_, t)| t.sink() == sink) {
+            taps += 1;
+            match tap.rate() {
+                RateSpec::Const(p) => rate += p,
+                RateSpec::Proportional { ppm_per_s } => prop |= ppm_per_s > 0,
+            }
+        }
+        (rate, prop, taps)
+    }
+
+    fn assert_feeds_match_scan(g: &ResourceGraph) {
+        for (id, _) in g.reserves() {
+            assert_eq!(g.inbound_feed(id), scanned_feed(g, id), "reserve {id:?}");
+            assert_eq!(g.has_inbound_tap(id), scanned_feed(g, id).2 > 0);
+        }
+    }
+
+    /// The per-sink inbound rate sum follows every tap mutator —
+    /// `create_tap`, `set_tap_rate` (const↔const, const↔proportional,
+    /// live↔zero proportional), `delete_tap` and `delete_reserve`'s tap GC.
+    #[test]
+    fn inbound_feed_tracks_every_tap_mutator() {
+        let mut g = ResourceGraph::with_config(Energy::from_joules(100), GraphConfig::default());
+        let k = Actor::kernel();
+        let battery = g.battery();
+        let a = g.create_reserve(&k, "a", Label::default_label()).unwrap();
+        let b = g.create_reserve(&k, "b", Label::default_label()).unwrap();
+        let tap = |g: &mut ResourceGraph, src, dst, rate| {
+            g.create_tap(&k, "t", src, dst, rate, Label::default_label())
+                .unwrap()
+        };
+        let c1 = tap(
+            &mut g,
+            battery,
+            a,
+            RateSpec::constant(Power::from_microwatts(700)),
+        );
+        let c2 = tap(&mut g, b, a, RateSpec::constant(Power::from_microwatts(55)));
+        let p1 = tap(&mut g, b, a, RateSpec::Proportional { ppm_per_s: 0 });
+        tap(&mut g, a, b, RateSpec::proportional(0.5));
+        assert_eq!(
+            g.inbound_feed(a),
+            (Power::from_microwatts(755), false, 3),
+            "zero-rate proportional taps count as taps, not as live feeds"
+        );
+        assert_feeds_match_scan(&g);
+        g.set_tap_rate(&k, p1, RateSpec::Proportional { ppm_per_s: 9 })
+            .unwrap();
+        assert!(g.inbound_feed(a).1);
+        g.set_tap_rate(&k, c1, RateSpec::constant(Power::from_microwatts(1_000)))
+            .unwrap();
+        g.set_tap_rate(&k, p1, RateSpec::constant(Power::from_microwatts(5)))
+            .unwrap();
+        assert_eq!(g.inbound_feed(a), (Power::from_microwatts(1_060), false, 3));
+        assert_feeds_match_scan(&g);
+        g.set_tap_rate(&k, c2, RateSpec::proportional(0.1)).unwrap();
+        assert_eq!(g.inbound_feed(a), (Power::from_microwatts(1_005), true, 3));
+        g.delete_tap(&k, c2).unwrap();
+        assert_eq!(g.inbound_feed(a), (Power::from_microwatts(1_005), false, 2));
+        assert_feeds_match_scan(&g);
+        // Deleting `b` GCs its outbound tap into `a` and its inbound one.
+        g.delete_reserve(&k, b).unwrap();
+        assert_eq!(g.inbound_feed(a), (Power::from_microwatts(1_000), false, 1));
+        assert_feeds_match_scan(&g);
+        g.delete_tap(&k, c1).unwrap();
+        assert_eq!(g.inbound_feed(a), (Power::ZERO, false, 0));
+        assert!(!g.has_inbound_tap(a));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random mutation interleavings (the differential op mix, which
+        /// also re-rates, deletes and GCs): after every op the O(1) feed
+        /// of every reserve equals a full tap scan.
+        #[test]
+        fn inbound_feed_matches_tap_scan(
+            ops in proptest::collection::vec(arb_op(), 1..40),
+        ) {
+            let mut g = ResourceGraph::with_config(
+                Energy::from_joules(15_000),
+                GraphConfig::default(),
+            );
+            let pool = g
+                .create_root(&Actor::kernel(), "byte-pool", Quantity::network_bytes(50_000_000))
+                .expect("fresh graph has no byte root");
+            let mut ids = vec![g.battery(), pool];
+            let mut now = SimTime::ZERO;
+            for op in &ops {
+                apply(&mut g, &mut ids, &mut now, op, true);
+                for (id, _) in g.reserves() {
+                    prop_assert_eq!(g.inbound_feed(id), scanned_feed(&g, id), "after {:?}", op);
+                }
+            }
+        }
     }
 
     /// Index bookkeeping follows tap/reserve lifecycle.

@@ -530,9 +530,9 @@ impl ResourceGraph {
         if !actor.can_modify(&tap.label().clone()) && !actor.is_kernel {
             return Err(GraphError::PermissionDenied { op: "set_tap_rate" });
         }
-        let (source, old) = (tap.source().0, tap.rate());
+        let (source, sink, old) = (tap.source().0, tap.sink().0, tap.rate());
         tap.set_rate(rate);
-        self.flow.on_tap_rate_changed(source, old, rate);
+        self.flow.on_tap_rate_changed(source, sink, old, rate);
         Ok(())
     }
 
@@ -1198,6 +1198,18 @@ impl ResourceGraph {
     /// mid-span (if not, idle quanta over it are provably skippable).
     pub fn has_inbound_tap(&self, id: ReserveId) -> bool {
         self.flow.has_inbound(id.0)
+    }
+
+    /// An upper-bound view of the taps refilling `id`: the sum of all
+    /// constant inbound rates, whether any live proportional tap also
+    /// feeds it (its rate is level-dependent, so callers needing a static
+    /// bound must bail), and the inbound tap count (for per-tick carry
+    /// slack). O(1), off the flow engine's per-sink index — the mirror of
+    /// [`ResourceGraph::outbound_drain`]. The kernel's throttle-wait
+    /// fast-forward divides a starved reserve's deficit by this rate.
+    pub fn inbound_feed(&self, id: ReserveId) -> (Power, bool, u32) {
+        let (uw, prop, taps) = self.flow.inbound_feed(id.0);
+        (Power::from_microwatts(uw), prop, taps)
     }
 
     /// An upper-bound view of the taps draining `id`: the sum of all

@@ -320,17 +320,17 @@ impl ResourceScheduler {
     }
 
     /// Replays `quanta` consecutive [`ResourceScheduler::pick_next`] calls
-    /// in bulk for a span in which nothing can change: every Ready task
-    /// stays reserve-gated (no balance moves) and no state transition
-    /// occurs. Each such call adds one throttled quantum to every Ready
-    /// task and returns the queue to its entry order, so the whole span
-    /// collapses to a counter add per Ready task.
+    /// in bulk for a span in which every Ready task stays reserve-gated
+    /// (its balance may move, but never above zero) and no state
+    /// transition occurs. Each such call adds one throttled quantum to
+    /// every Ready task and returns the queue to its entry order, so the
+    /// whole span collapses to a counter add per Ready task.
     ///
     /// Caller-checked precondition: the immediately preceding `pick_next`
     /// returned `None`, so the queue holds no stale (removed or exited)
     /// entries, `sole_ready` is at its scan fixed point, and every Ready
-    /// task is unfundable — the kernel's frozen fast-forward establishes
-    /// this by construction (debug-asserted here).
+    /// task is unfundable — the kernel's frozen and throttle-wait
+    /// fast-forwards establish this by construction (debug-asserted here).
     pub fn bulk_throttle(&mut self, graph: &ResourceGraph, quanta: u64) {
         if quanta == 0 || self.ready_count == 0 {
             return;
@@ -463,19 +463,39 @@ impl ResourceScheduler {
         self.ready_count > 0
     }
 
+    /// How many tasks are in [`TaskState::Ready`] — O(1). The kernel's
+    /// reduced stepper compares it across a net poll to see whether the
+    /// poll woke anyone.
+    pub fn ready_count(&self) -> usize {
+        self.ready_count
+    }
+
+    /// The active energy reserve of every Ready task (`None` for a task
+    /// without one, which can never run). O(1) for the sole-ready steady
+    /// state, otherwise one pass over the tasks. Read-only: the kernel's
+    /// throttle-wait fast-forward bounds each reserve's refill time off
+    /// this without perturbing the round-robin state
+    /// [`ResourceScheduler::pick_next`] owns.
+    pub fn ready_reserves(&self) -> impl Iterator<Item = Option<ReserveId>> + '_ {
+        let (sole, scan) = match (self.ready_count, self.sole_ready) {
+            (0, _) => (None, None),
+            (_, Some(id)) => (self.tasks.get(id.0), None),
+            (_, None) => (None, Some(self.tasks.iter().map(|(_, t)| t))),
+        };
+        sole.into_iter()
+            .chain(scan.into_iter().flatten())
+            .filter(|t| t.state == TaskState::Ready)
+            .map(|t| t.reserves[ResourceKind::Energy.index()])
+    }
+
     /// True when some Ready task could run right now — its energy reserve
-    /// is non-empty. Read-only (no throttle accounting, no queue rotation):
-    /// the kernel's steadiness probe asks this without perturbing the
-    /// round-robin state that [`ResourceScheduler::pick_next`] owns.
+    /// is non-empty. Read-only (no throttle accounting, no queue
+    /// rotation): the kernel's reduced stepper asks this after each net
+    /// poll to decide whether the boundary's `pick_next` would throttle.
     pub fn any_ready_runnable(&self, graph: &ResourceGraph) -> bool {
-        if self.ready_count == 0 {
-            return false;
-        }
-        self.tasks.iter().any(|(_, t)| {
-            t.state == TaskState::Ready
-                && t.reserves[ResourceKind::Energy.index()]
-                    .and_then(|r| graph.reserve(r))
-                    .is_some_and(|r| r.is_nonempty())
+        self.ready_reserves().any(|r| {
+            r.and_then(|r| graph.reserve(r))
+                .is_some_and(|r| r.is_nonempty())
         })
     }
 

@@ -88,10 +88,12 @@ pub struct KernelConfig {
     /// replay byte-identically, and no event or radio transition is due.
     /// This is the drained-battery steady state every long-horizon fleet
     /// device ends in; with only `idle_skip` it steps (and round-robins the
-    /// scheduler) every quantum forever. Bit-identical by construction:
-    /// throttled-quanta accounting is replayed in bulk and flows settle
-    /// over the span exactly as when stepped. Off by default, like
-    /// `idle_skip`.
+    /// scheduler) every quantum forever. Also enables the *throttle-wait*
+    /// jump over spans whose Ready threads are provably unfundable until a
+    /// computable tick, though taps elsewhere keep flowing. Bit-identical
+    /// by construction: throttled-quanta accounting is replayed in bulk
+    /// and flows settle over the span exactly as when stepped. Off by
+    /// default, like `idle_skip`.
     pub fast_forward: bool,
 }
 
@@ -283,8 +285,8 @@ pub struct Kernel {
     /// Threads currently blocked on an offload response — the O(1) guard
     /// the fast-forward paths consult: a waiter's wake is always a queued
     /// event (response delivery or deadline), so a non-empty count with an
-    /// empty event queue is an invariant violation the steadiness probe
-    /// refuses to certify over.
+    /// empty event queue is an invariant violation every skip refuses to
+    /// jump over.
     offload_waiters: usize,
     /// Kernel-wide offload telemetry.
     offload_stats: OffloadStats,
@@ -294,6 +296,11 @@ pub struct Kernel {
     link_down: bool,
     /// Fault-injection telemetry.
     faults: FaultCounters,
+    /// Consecutive quantum boundaries at which no thread ran — the gate
+    /// that keeps the throttle-wait bound and the frozen tap scan off the
+    /// one-quantum run/throttle alternation, where they could never pay.
+    /// A pure wall-clock hint: results never depend on it.
+    idle_streak: u32,
 }
 
 impl Kernel {
@@ -355,6 +362,7 @@ impl Kernel {
             offload_stats: OffloadStats::default(),
             link_down: false,
             faults: FaultCounters::default(),
+            idle_streak: 0,
             now: SimTime::ZERO,
             config,
         }
@@ -1306,7 +1314,7 @@ impl Kernel {
     /// the next call's first iteration, so splitting a run into spans
     /// replays the *identical* instruction stream: `run_span(t₁); …;
     /// run_until(t_n)` is bit-equal to `run_until(t_n)` for any grid or
-    /// off-grid split points. The fleet's epoch driver runs on this.
+    /// off-grid split points. The fleet's span driver runs on this.
     pub fn run_span(&mut self, end: SimTime) {
         let quantum = self.sched.quantum();
         while self.now + quantum <= end {
@@ -1322,8 +1330,15 @@ impl Kernel {
             let total = self.platform.total(self.arm9.radio().extra_power());
             self.meter.set_power(t, total);
             self.now = t + quantum;
-            if ran.is_none() {
-                let jumped = self.config.fast_forward && self.skip_frozen_quanta(end);
+            if ran.is_some() {
+                self.idle_streak = 0;
+            } else {
+                self.idle_streak = self.idle_streak.saturating_add(1);
+                // The frozen certificate scans every tap, so like the
+                // throttle-wait jump it waits for a second idle boundary.
+                let jumped = self.config.fast_forward
+                    && self.idle_streak >= 2
+                    && self.skip_frozen_quanta(end);
                 if !jumped && self.config.idle_skip {
                     self.skip_idle_quanta(end);
                 }
@@ -1331,27 +1346,44 @@ impl Kernel {
         }
     }
 
-    /// Jumps `now` over quantum boundaries that provably change nothing:
-    /// no thread is Ready (Blocked threads are revived only by queued
-    /// events), the net stack has no queued work, and neither an event nor
-    /// a radio phase transition falls inside the skipped span.
+    /// Jumps `now` over quantum boundaries that provably change nothing
+    /// but flows: the net stack has no queued work, no byte-quota retry
+    /// can submit, neither an event nor a radio phase transition falls
+    /// inside the skipped span, and no thread can run — none is Ready
+    /// (Blocked threads are revived only by queued events), or, with
+    /// `fast_forward` on, every Ready thread is *throttle-waiting*: its
+    /// reserve is provably non-positive at every skipped boundary
+    /// ([`Kernel::throttle_wait_bound`]). A pooling stack hands off to the
+    /// reduced stepper instead ([`Kernel::step_net_busy_quanta`]), which
+    /// takes Ready threads only under `fast_forward` too.
     ///
     /// The jump lands on the first quantum boundary at or after the
     /// earliest wake source, exactly the boundary where the ordinary loop
     /// would first see it, so results are bit-identical to stepping every
     /// quantum: taps and decay integrate over arbitrary spans in
-    /// `flow_until`, and the meter holds the (constant) idle power until
-    /// the next `set_power`.
+    /// `flow_until`, the meter holds the (constant) idle power until the
+    /// next `set_power`, and each skipped boundary's all-throttle
+    /// `pick_next` is replayed in bulk
+    /// ([`cinder_core::ResourceScheduler::bulk_throttle`]).
     fn skip_idle_quanta(&mut self, end: SimTime) {
-        if self.sched.has_ready() {
+        // A Ready thread pins the loop unless one of fast-forward's two
+        // throttle-wait modes can certify it unfundable.
+        let throttled = self.sched.has_ready();
+        if throttled && !self.config.fast_forward {
             return;
         }
         if self.net.as_ref().is_some_and(|n| !n.is_idle()) {
             // The stack is pooling (netd holding queued sends): quanta are
             // not skippable, but they are *reducible* — only the tick-grid
             // work (flows, net polls) can change anything while the CPU is
-            // provably idle.
+            // provably idle or throttled.
             self.step_net_busy_quanta(end);
+            return;
+        }
+        // The idle-stack bound costs a pass over the Ready tasks, so wait
+        // for a second consecutive idle boundary: a thread whose tap funds
+        // every other quantum would refuse every time.
+        if throttled && self.idle_streak < 2 {
             return;
         }
         // A send blocked on its byte quota is re-checked at every net poll,
@@ -1400,6 +1432,15 @@ impl Kernel {
             wake = wake.min(t);
         }
         let quantum = self.sched.quantum();
+        if wake.saturating_since(self.now) <= quantum {
+            return;
+        }
+        if throttled {
+            match self.throttle_wait_bound(wake) {
+                Some(fundable) => wake = fundable,
+                None => return,
+            }
+        }
         let gap = wake.saturating_since(self.now);
         if gap <= quantum {
             return;
@@ -1409,13 +1450,18 @@ impl Kernel {
         // ordinary loop would not itself have reached before `end`.
         let to_wake = gap.as_micros().div_ceil(quantum_us);
         let to_end = end.saturating_since(self.now).div_duration(quantum);
-        let jump = quantum * to_wake.min(to_end);
+        let skipped = to_wake.min(to_end);
+        let jump = quantum * skipped;
         // A lit peripheral is only steady state while its reserve provably
         // funds the whole span; near-empty reserves pin the slow path so
         // the forced shutdown lands on the exact boundary it always would.
         if !self.peripherals_cover_span(jump) {
             return;
         }
+        // Each skipped boundary's `pick_next` throttles every Ready task
+        // (none Ready: a no-op): the call that just returned `None` proved
+        // them unfundable, and the bound keeps it true across the span.
+        self.sched.bulk_throttle(&self.graph, skipped);
         self.now += jump;
         // Every-quantum stepping runs each flow/decay tick at its own
         // boundary, before any event that fires later. The landing
@@ -1426,17 +1472,85 @@ impl Kernel {
         // tick is ≤ the boundary before landing; a tick exactly at the
         // landing boundary stays for the landing iteration, as in the
         // base loop.
-        self.graph
-            .flow_until(SimTime::from_micros(self.now.as_micros() - quantum_us));
+        let settle = SimTime::from_micros(self.now.as_micros() - quantum_us);
+        if throttled {
+            // A throttle-wait span is a few ticks long, where a planned
+            // multi-tick flow run costs more than it saves (with decay on,
+            // every funded energy reserve ticks anyway): settle it tick by
+            // tick, as the stepped loop would.
+            let tick = self.graph.config().flow_tick;
+            let mut next = self.graph.now() + tick;
+            while next <= settle {
+                self.graph.flow_until(next);
+                next += tick;
+            }
+        }
+        self.graph.flow_until(settle);
+    }
+
+    /// The throttle-wait certificate: a conservative earliest instant, no
+    /// later than `wake`, at which a flow tick could make some Ready task
+    /// fundable. Every skipped boundary strictly before it provably sees
+    /// every Ready reserve non-positive, so its `pick_next` throttles them
+    /// all. `None` refuses the jump.
+    ///
+    /// The boundary just processed ended with `pick_next` returning
+    /// `None`, so every Ready reserve is non-positive now (re-checked, O(1)
+    /// per task, rather than trusted). Inside a skipped span only flow
+    /// ticks touch balances (events, polls, kills and policy re-rates all
+    /// sit at span edges), and of the flow only inbound taps can raise a
+    /// non-positive balance: outflow takes only from positive balances and
+    /// decay only shrinks them. A constant tap moves `⌊(carry + p·dt)/10⁶⌋`
+    /// µJ per tick with carry < 10⁶, so `n` ticks of a reserve's inbound
+    /// taps deliver less than `taps + n·R·dt/10⁶` µJ (`R` their summed
+    /// rate, read O(1) off the flow engine's per-sink index) — clamps at
+    /// the sources only lower it. A reserve with deficit `D` therefore
+    /// stays non-positive for `⌊(D − taps)·10⁶ / (R·dt)⌋` more ticks. A
+    /// live proportional feed has no such static bound, and the battery
+    /// also collects decay, so either refuses.
+    fn throttle_wait_bound(&self, wake: SimTime) -> Option<SimTime> {
+        let tick = self.graph.config().flow_tick;
+        let origin = self.graph.now();
+        // Ticks that may still flow before `wake` without constraining it.
+        let mut ticks = wake.saturating_since(origin).div_duration(tick);
+        let battery = self.graph.battery();
+        for reserve in self.sched.ready_reserves() {
+            // A task without a live reserve can never run.
+            let Some(reserve) = reserve else {
+                continue;
+            };
+            if reserve == battery && self.decay_leak_ppm > 0 {
+                return None;
+            }
+            let Some(balance) = self.graph.reserve(reserve).map(|r| r.balance()) else {
+                continue;
+            };
+            let (rate, proportional, taps) = self.graph.inbound_feed(reserve);
+            if balance.is_positive() || proportional {
+                return None;
+            }
+            // µJ·10⁶ the feed can deliver per tick, at most.
+            let per_tick = rate.as_microwatts().checked_mul(tick.as_micros())?;
+            if per_tick == 0 {
+                continue;
+            }
+            let headroom =
+                u64::try_from(-i128::from(balance.as_microjoules()) - i128::from(taps)).ok()?;
+            // Saturating the numerator only shortens the jump.
+            ticks = ticks.min(headroom.saturating_mul(1_000_000) / per_tick);
+        }
+        // The first boundary that may see tick `ticks + 1` flowed.
+        Some(wake.min(origin + tick * ticks.saturating_add(1)))
     }
 
     /// Fast-forwards *frozen* spans — quanta where threads exist but the
     /// device is provably inert. [`Kernel::skip_idle_quanta`] handles the
-    /// truly idle device (nothing Ready, stack idle); this handles the two
-    /// steady states it cannot: Ready-but-unfundable threads (a drained
-    /// battery round-robins the scheduler every quantum forever) and
-    /// threads blocked in a pooling stack whose sweeps can no longer
-    /// contribute anything. Returns `true` if it jumped.
+    /// idle device and Ready threads a computable tap tick will fund; this
+    /// handles the two steady states it cannot: Ready threads nothing will
+    /// ever fund (a drained battery round-robins the scheduler every
+    /// quantum forever) and threads blocked in a pooling stack whose
+    /// sweeps can no longer contribute anything. Returns `true` if it
+    /// jumped.
     ///
     /// The certificate, checked cheapest-first:
     ///
@@ -1525,109 +1639,30 @@ impl Kernel {
         true
     }
 
-    /// Conservatively certifies the longest prefix of `(now, horizon]` in
-    /// which provably *nothing* can happen: no thread can run (none Ready,
-    /// or every Ready task unfundable under a frozen graph), the net
-    /// stack's polls are no-ops, no byte-quota retry can submit, every lit
-    /// peripheral stays funded, and no event or radio transition is due.
-    /// Returns the first quantum boundary at or after the earliest wake
-    /// source (capped at `horizon`), or `None` when nothing beyond the
-    /// next quantum is certifiable.
-    ///
-    /// Read-only and advisory: it composes the same guards the in-loop
-    /// fast-forwards (`Kernel::skip_idle_quanta`,
-    /// `Kernel::skip_frozen_quanta`) re-verify as they run, so a *steady*
-    /// verdict predicts that [`Kernel::run_until`] will cross the span in
-    /// O(1) — the fleet driver uses it to classify each device epoch as
-    /// steady (closed-form advance) or dynamic (stepped) without
-    /// perturbing the kernel.
-    pub fn steadiness_probe(&self, horizon: SimTime) -> Option<SimTime> {
-        let quantum = self.sched.quantum();
-        if self.sched.any_ready_runnable(&self.graph) {
-            return None;
-        }
-        let frozen = self.graph.flow_is_frozen();
-        if self.sched.has_ready() && !frozen {
-            // A starved Ready thread wakes as soon as a tap refills its
-            // reserve — sub-quantum, not certifiable.
-            return None;
-        }
-        let radio_active = self.arm9.radio().is_active();
-        let radio_next = self.arm9.radio().next_transition();
-        if let Some(stack) = &self.net {
-            if !(stack.is_idle()
-                || self.net_poll_snappable
-                    && frozen
-                    && stack.poll_inert_while_frozen(&self.graph, radio_active, radio_next))
-            {
-                return None;
-            }
-        }
-        // Mirrors the in-loop guards: a downed link makes every held send
-        // inert (the LinkUp event bounds the certificate), otherwise a
-        // covered — or plan-less — held send submits at the next poll.
-        if self.byte_waiters > 0 && !self.link_down {
-            let pinned = self.threads.iter().any(|t| {
-                !t.exited
-                    && t.pending_send.is_some_and(|p| {
-                        match self.sched.reserve_for(t.task, ResourceKind::NetworkBytes) {
-                            Some(plan) => {
-                                self.plan_covers(plan, p.tx_bytes, p.rx_bytes)
-                                    || (!frozen && self.graph.has_inbound_tap(plan))
-                            }
-                            None => true,
-                        }
-                    })
-            });
-            if pinned {
-                return None;
-            }
-        }
-        // Offload clause: a thread blocked in the `offload` syscall wakes
-        // on its response delivery or its deadline, both queued events, so
-        // the event bound below already lands the probe on the right
-        // boundary. If waiters are outstanding with *no* event queued the
-        // wake-schedulability invariant is broken — never certify a span
-        // over a thread that cannot be woken.
-        if self.offload_waiters > 0 && self.events.peek_time().is_none() {
-            return None;
-        }
-        let mut wake = horizon;
-        if let Some(t) = self.events.peek_time() {
-            wake = wake.min(t);
-        }
-        if let Some(t) = radio_next {
-            wake = wake.min(t);
-        }
-        let gap = wake.saturating_since(self.now);
-        if gap <= quantum {
-            return None;
-        }
-        let quantum_us = quantum.as_micros();
-        let to_wake = gap.as_micros().div_ceil(quantum_us);
-        let to_end = horizon.saturating_since(self.now).div_duration(quantum);
-        let jump = quantum * to_wake.min(to_end);
-        if !self.peripherals_cover_span(jump) {
-            return None;
-        }
-        Some(self.now + jump)
-    }
-
     /// Steps quanta in reduced form while the net stack is busy (pooling)
-    /// but the CPU is provably idle: only the flow tick and the net poll
-    /// run per quantum. Byte-identical to full stepping because every other
-    /// per-quantum action is a proven no-op over the stepped span —
-    /// no thread is Ready (the scheduler idles and counts nothing), no
-    /// event or radio transition falls inside it (checked per step), and
-    /// the metered power is constant (CPU idle, radio phase unchanged), so
-    /// the deferred `set_power` integrates identically. The loop stops
-    /// *before* consuming any quantum in which the poll woke a thread,
-    /// queued a delivery, or touched the radio — the ordinary loop then
-    /// replays that boundary, where `flow_until` (time already reached) and
-    /// `net_poll` (cadence already satisfied) are no-ops, and completes the
-    /// quantum with real scheduling and metering.
+    /// but no thread can run: only the flow tick and the net poll run per
+    /// quantum. Byte-identical to full stepping because every other
+    /// per-quantum action is a proven no-op over the stepped span — no
+    /// event or radio transition falls inside it (checked per step), the
+    /// metered power is constant (CPU idle, radio phase unchanged), so the
+    /// deferred `set_power` integrates identically, and the scheduler only
+    /// throttles: the boundary that handed over ended with `pick_next`
+    /// returning `None`, and each consumed boundary re-checks, *after* its
+    /// poll, that no Ready task has become fundable (netd's sweep takes a
+    /// waiter's tick refill before `pick_next` would see it), then replays
+    /// the pick as `bulk_throttle(1)`. This is the pooling mode of
+    /// throttle-wait: a Ready thread sharing a blocked sender's reserve
+    /// never gets funded while the pool fills.
+    ///
+    /// The loop stops *before* consuming any quantum in which the poll
+    /// woke a thread, queued a delivery, or touched the radio, or in which
+    /// a Ready task could run — the ordinary loop then replays that
+    /// boundary, where `flow_until` (time already reached) and `net_poll`
+    /// (cadence already satisfied) are no-ops, and completes the quantum
+    /// with real scheduling and metering.
     fn step_net_busy_quanta(&mut self, end: SimTime) {
         let quantum = self.sched.quantum();
+        let ready = self.sched.ready_count();
         while self.now + quantum <= end {
             let t = self.now;
             if self.events.peek_time().is_some_and(|e| e <= t) {
@@ -1647,14 +1682,17 @@ impl Kernel {
                 return;
             }
             self.net_poll(t);
-            if self.sched.has_ready()
+            if self.sched.ready_count() != ready
                 || self.arm9.radio().next_transition() != radio_before
                 || self.net.as_ref().is_none_or(|n| n.is_idle())
+                || self.sched.any_ready_runnable(&self.graph)
             {
-                // The poll granted, woke, or drained: hand the boundary
-                // back to the full loop (idle-skip may now also apply).
+                // The poll granted, woke, or drained, or a tick funded a
+                // Ready task: hand the boundary back to the full loop
+                // (idle-skip may now also apply).
                 return;
             }
+            self.sched.bulk_throttle(&self.graph, 1);
             self.now = t + quantum;
         }
     }

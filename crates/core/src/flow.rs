@@ -525,7 +525,9 @@ impl FlowEngine {
             // No taps at all: nothing moves, whole span is one event.
             return max_ticks;
         }
-        if (self.live_prop > 0 || decaying) && max_ticks < MIN_PARTITIONED_SPAN {
+        if self.live_prop > 0 && max_ticks < MIN_PARTITIONED_SPAN
+            || decaying && max_ticks < MIN_DECAYING_SPAN
+        {
             // Planning + SoA build costs more than ticking a short span.
             return 0;
         }
@@ -845,6 +847,12 @@ impl FlowEngine {
 /// Below this span length a mixed graph is ticked directly: run planning
 /// and SoA assembly cost more than a few indexed ticks.
 const MIN_PARTITIONED_SPAN: u64 = 4;
+
+/// The same threshold under decay. Decay forces every positive energy
+/// source into the ticked partition, so a plan saves only the per-tick
+/// map and arena lookups, and its SoA build needs a longer span to pay
+/// back.
+const MIN_DECAYING_SPAN: u64 = 16;
 
 /// Dense-slot assignment for the ticked partition (free function so the
 /// borrow checker sees disjoint field borrows).

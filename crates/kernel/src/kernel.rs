@@ -1334,10 +1334,12 @@ impl Kernel {
                 self.idle_streak = 0;
             } else {
                 self.idle_streak = self.idle_streak.saturating_add(1);
-                // The frozen certificate scans every tap, so like the
-                // throttle-wait jump it waits for a second idle boundary.
+                // The frozen certificate scans every tap. With a thread
+                // Ready it may be funded next quantum, so like the
+                // throttle-wait jump the scan waits for a second idle
+                // boundary; with none Ready it is tried at once.
                 let jumped = self.config.fast_forward
-                    && self.idle_streak >= 2
+                    && (self.idle_streak >= 2 || !self.sched.has_ready())
                     && self.skip_frozen_quanta(end);
                 if !jumped && self.config.idle_skip {
                     self.skip_idle_quanta(end);
@@ -1473,18 +1475,6 @@ impl Kernel {
         // landing boundary stays for the landing iteration, as in the
         // base loop.
         let settle = SimTime::from_micros(self.now.as_micros() - quantum_us);
-        if throttled {
-            // A throttle-wait span is a few ticks long, where a planned
-            // multi-tick flow run costs more than it saves (with decay on,
-            // every funded energy reserve ticks anyway): settle it tick by
-            // tick, as the stepped loop would.
-            let tick = self.graph.config().flow_tick;
-            let mut next = self.graph.now() + tick;
-            while next <= settle {
-                self.graph.flow_until(next);
-                next += tick;
-            }
-        }
         self.graph.flow_until(settle);
     }
 

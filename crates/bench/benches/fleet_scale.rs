@@ -191,8 +191,8 @@ fn scale_report(_c: &mut Criterion) {
     println!(
         "fleet_scale: peripheral fleet {devices} devices x {HORIZON_S} s  1 thread {peripheral_s:.2} s \
          ({:.1} kJ peripheral drain, {} forced shutdowns)",
-        peripheral_summary.peripheral_energy_j / 1e3,
-        peripheral_summary.forced_shutdowns
+        peripheral_summary.totals.peripheral_energy_j() / 1e3,
+        peripheral_summary.totals.forced_shutdowns()
     );
 
     // --- Offload-heavy acceptance fleet: thousands of break-even
@@ -210,7 +210,7 @@ fn scale_report(_c: &mut Criterion) {
     );
     let offload_summary = offload_single.summary();
     assert!(
-        offload_summary.offload_completed > 0,
+        offload_summary.totals.offload_completed() > 0,
         "the responsive backend must complete requests"
     );
     let offload_lat = offload_summary
@@ -219,10 +219,10 @@ fn scale_report(_c: &mut Criterion) {
     println!(
         "fleet_scale: offload fleet {devices} devices x {HORIZON_S} s  1 thread {offload_s:.2} s \
          ({} completed, latency p50 {:.0} ms p99 {:.0} ms, {:.1} J/request)",
-        offload_summary.offload_completed,
+        offload_summary.totals.offload_completed(),
         offload_lat.p50 * 1e3,
         offload_lat.p99 * 1e3,
-        offload_summary.joules_per_request
+        offload_summary.totals.joules_per_request()
     );
 
     // --- Policy-heavy acceptance fleet: the user-aware lifetime-target
@@ -252,23 +252,23 @@ fn scale_report(_c: &mut Criterion) {
         })
         .collect();
     let policy_stepped_s = start.elapsed().as_secs_f64();
-    let policy_ff_identical = policy_single.devices.iter().eq(policy_stepped);
+    let policy_ff_identical = policy_single.devices.iter().eq(&policy_stepped);
     assert!(
         policy_ff_identical,
         "fast-forward must not change any policy-fleet report"
     );
     let policy_summary = policy_single.summary();
     assert!(
-        policy_summary.policy_rerates > 0,
+        policy_summary.totals.policy_rerates() > 0,
         "the controller must act at scale"
     );
     println!(
         "fleet_scale: policy fleet {devices} devices x {HORIZON_S} s  1 thread {policy_s:.2} s \
          ({}/{} lifetime targets hit, {} re-rates, {} demotions; ff vs stepped byte-identical)",
-        policy_summary.lifetime_target_hits,
+        policy_summary.totals.lifetime_target_hits(),
         policy_summary.devices,
-        policy_summary.policy_rerates,
-        policy_summary.policy_demotions
+        policy_summary.totals.policy_rerates(),
+        policy_summary.totals.policy_demotions()
     );
 
     // --- Fault-heavy acceptance fleet: the calibrated fault storm at the
@@ -297,27 +297,33 @@ fn scale_report(_c: &mut Criterion) {
             simulate_device(&spec)
         })
         .collect();
-    let fault_ff_identical = fault_single.devices.iter().eq(fault_stepped);
+    let fault_ff_identical = fault_single.devices.iter().eq(&fault_stepped);
     assert!(
         fault_ff_identical,
         "fast-forward must not change any fault-fleet report"
     );
     let fault_summary = fault_single.summary();
-    assert!(fault_summary.link_flaps > 0, "the storm must flap links");
-    assert!(fault_summary.crashes > 0, "the storm must kill programs");
-    assert!(fault_summary.restarts > 0, "kills must respawn");
-    assert!(fault_summary.retries > 0, "backoff must engage");
-    assert!(fault_summary.fade_j > 0.0, "batteries must age");
+    assert!(
+        fault_summary.totals.link_flaps() > 0,
+        "the storm must flap links"
+    );
+    assert!(
+        fault_summary.totals.crashes() > 0,
+        "the storm must kill programs"
+    );
+    assert!(fault_summary.totals.restarts() > 0, "kills must respawn");
+    assert!(fault_summary.totals.retries() > 0, "backoff must engage");
+    assert!(fault_summary.totals.fade_j() > 0.0, "batteries must age");
     println!(
         "fleet_scale: fault fleet {devices} devices x {HORIZON_S} s  1 thread {fault_s:.2} s \
          ({} flaps, {} crashes / {} restarts, {} retries ({} exhausted), {:.0} J fade; \
          ff vs stepped byte-identical)",
-        fault_summary.link_flaps,
-        fault_summary.crashes,
-        fault_summary.restarts,
-        fault_summary.retries,
-        fault_summary.retries_exhausted,
-        fault_summary.fade_j
+        fault_summary.totals.link_flaps(),
+        fault_summary.totals.crashes(),
+        fault_summary.totals.restarts(),
+        fault_summary.totals.retries(),
+        fault_summary.totals.retries_exhausted(),
+        fault_summary.totals.fade_j()
     );
 
     // --- Steady-heavy fast-forward acceptance: small-battery fleets whose
@@ -340,7 +346,7 @@ fn scale_report(_c: &mut Criterion) {
         })
         .collect();
     let stepped_s = start.elapsed().as_secs_f64();
-    let steady_identical = ff_report.devices.iter().eq(stepped);
+    let steady_identical = ff_report.devices.iter().eq(&stepped);
     assert!(steady_identical, "fast-forward must not change any report");
     let ff_speedup = stepped_s / ff_s;
     assert!(
@@ -450,23 +456,23 @@ fn scale_report(_c: &mut Criterion) {
         lifetime.p90,
         lifetime.p99,
         power.p99,
-        peripheral_summary.peripheral_energy_j,
-        peripheral_summary.forced_shutdowns,
-        offload_summary.offload_completed,
-        offload_summary.offload_rejected,
-        offload_summary.offload_timed_out,
+        peripheral_summary.totals.peripheral_energy_j(),
+        peripheral_summary.totals.forced_shutdowns(),
+        offload_summary.totals.offload_completed(),
+        offload_summary.totals.offload_rejected(),
+        offload_summary.totals.offload_timed_out(),
         offload_lat.p50,
         offload_lat.p99,
-        offload_summary.joules_per_request,
-        policy_summary.lifetime_target_hits,
-        policy_summary.policy_rerates,
-        policy_summary.policy_demotions,
-        fault_summary.link_flaps,
-        fault_summary.crashes,
-        fault_summary.restarts,
-        fault_summary.retries,
-        fault_summary.retries_exhausted,
-        fault_summary.fade_j,
+        offload_summary.totals.joules_per_request(),
+        policy_summary.totals.lifetime_target_hits(),
+        policy_summary.totals.policy_rerates(),
+        policy_summary.totals.policy_demotions(),
+        fault_summary.totals.link_flaps(),
+        fault_summary.totals.crashes(),
+        fault_summary.totals.restarts(),
+        fault_summary.totals.retries(),
+        fault_summary.totals.retries_exhausted(),
+        fault_summary.totals.fade_j(),
         million_s / million_dev_h * 1e3,
         million_s < 300.0,
     );

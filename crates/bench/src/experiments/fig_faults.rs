@@ -31,14 +31,14 @@ const INTENSITIES: [Option<u64>; 4] = [None, Some(500_000), Some(1_000_000), Som
 struct Outcome {
     tag: String,
     hit_fraction: f64,
-    completed: u64,
+    completed: u128,
     joules_per_request: f64,
-    link_flaps: u64,
+    link_flaps: u128,
     link_down_s: f64,
-    crashes: u64,
-    restarts: u64,
-    retries: u64,
-    retries_exhausted: u64,
+    crashes: u128,
+    restarts: u128,
+    retries: u128,
+    retries_exhausted: u128,
     fade_j: f64,
 }
 
@@ -52,21 +52,22 @@ fn run_intensity(intensity: Option<u64>) -> Outcome {
     };
     let report = run_fleet_with(&scenario, 4);
     let s = report.summary();
+    let t = &s.totals;
     Outcome {
         tag: match intensity {
             None => "fault-free".into(),
             Some(ppm) => format!("{:.1}x", ppm as f64 / 1e6),
         },
-        hit_fraction: s.lifetime_target_hits as f64 / s.devices as f64,
-        completed: s.offload_completed,
-        joules_per_request: s.joules_per_request,
-        link_flaps: s.link_flaps,
-        link_down_s: s.link_down_us as f64 / 1e6,
-        crashes: s.crashes,
-        restarts: s.restarts,
-        retries: s.retries,
-        retries_exhausted: s.retries_exhausted,
-        fade_j: s.fade_j,
+        hit_fraction: t.lifetime_target_hits() as f64 / s.devices as f64,
+        completed: t.offload_completed(),
+        joules_per_request: t.joules_per_request(),
+        link_flaps: t.link_flaps(),
+        link_down_s: t.link_down_us() as f64 / 1e6,
+        crashes: t.crashes(),
+        restarts: t.restarts(),
+        retries: t.retries(),
+        retries_exhausted: t.retries_exhausted(),
+        fade_j: t.fade_j(),
     }
 }
 
@@ -151,7 +152,7 @@ mod tests {
         // spent once faults are live.
         for o in [&calm, &storm, &wild] {
             assert!(
-                o.restarts <= o.crashes && o.crashes - o.restarts <= DEVICES as u64 / 10,
+                o.restarts <= o.crashes && o.crashes - o.restarts <= u128::from(DEVICES / 10),
                 "{}: kills without respawn: {} crashes vs {} restarts",
                 o.tag,
                 o.crashes,

@@ -50,9 +50,9 @@ struct Point {
     p99_ms: f64,
     fraction_ppm: u64,
     joules_per_request: f64,
-    completed: u64,
-    rejected: u64,
-    timed_out: u64,
+    completed: u128,
+    rejected: u128,
+    timed_out: u128,
 }
 
 fn sweep_point(capacity: u32) -> Point {
@@ -63,17 +63,17 @@ fn sweep_point(capacity: u32) -> Point {
         offload: Some(profile),
         ..Scenario::offload_heavy("fig-offload", 2_030, FLEET_DEVICES, capacity)
     };
-    let summary = run_fleet_with(&scenario, 4).summary();
+    let totals = run_fleet_with(&scenario, 4).summary().totals;
     Point {
         capacity,
         p50_ms: trace.latency_percentile(0.50).as_secs_f64() * 1e3,
         p90_ms: trace.latency_percentile(0.90).as_secs_f64() * 1e3,
         p99_ms: trace.latency_percentile(0.99).as_secs_f64() * 1e3,
         fraction_ppm: trace.offload_fraction_ppm(),
-        joules_per_request: summary.joules_per_request,
-        completed: summary.offload_completed,
-        rejected: summary.offload_rejected,
-        timed_out: summary.offload_timed_out,
+        joules_per_request: totals.joules_per_request(),
+        completed: totals.offload_completed(),
+        rejected: totals.offload_rejected(),
+        timed_out: totals.offload_timed_out(),
     }
 }
 

@@ -37,8 +37,8 @@ struct Outcome {
     cpu_j: f64,
     backlight_j: f64,
     gps_j: f64,
-    rerates: u64,
-    demotions: u64,
+    rerates: u128,
+    demotions: u128,
 }
 
 fn run_variant(variant: PolicyVariant) -> Outcome {
@@ -55,19 +55,19 @@ fn run_variant(variant: PolicyVariant) -> Outcome {
     let summary = report.summary();
     let lifetime = summary.lifetime_h.expect("non-empty fleet");
     let sum_j = |f: &dyn Fn(&cinder_fleet::DeviceReport) -> i64| -> f64 {
-        report.devices.iter().map(|d| f(&d) as f64 / 1e6).sum()
+        report.devices.iter().map(|d| f(d) as f64 / 1e6).sum()
     };
     Outcome {
         tag: variant.tag(),
-        hit_fraction: summary.lifetime_target_hits as f64 / summary.devices as f64,
+        hit_fraction: summary.totals.lifetime_target_hits() as f64 / summary.devices as f64,
         p50_lifetime_h: lifetime.p50,
         p90_lifetime_h: lifetime.p90,
-        total_j: summary.fleet_energy_j,
+        total_j: summary.totals.fleet_energy_j(),
         cpu_j: sum_j(&|d| d.cpu_energy_uj),
         backlight_j: sum_j(&|d| d.backlight_energy_uj),
         gps_j: sum_j(&|d| d.gps_energy_uj),
-        rerates: summary.policy_rerates,
-        demotions: summary.policy_demotions,
+        rerates: summary.totals.policy_rerates(),
+        demotions: summary.totals.policy_demotions(),
     }
 }
 

@@ -120,11 +120,6 @@ pub struct ResourceScheduler {
     quantum_cost: Option<(Power, Energy)>,
 }
 
-/// The scheduler's pre-multi-resource name, kept so existing call sites
-/// keep compiling.
-#[deprecated(note = "renamed to ResourceScheduler (reserves are now typed per ResourceKind)")]
-pub type EnergyScheduler = ResourceScheduler;
-
 impl ResourceScheduler {
     /// Creates an empty scheduler.
     pub fn new(config: SchedulerConfig) -> Self {
@@ -686,18 +681,6 @@ mod tests {
         let c2 = g.reserve(r2).unwrap().stats().consumed;
         assert_eq!(c1, c2);
         assert_eq!(c1, Energy::from_microjoules(1_370));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_alias_still_names_the_scheduler() {
-        // The pre-rename name must keep resolving for downstream code, but
-        // internal code constructs the scheduler by its real name — the
-        // alias appears only as this compile-time identity proof.
-        fn accepts_alias(_: &EnergyScheduler) {}
-        let s: ResourceScheduler = ResourceScheduler::new(SchedulerConfig::default());
-        accepts_alias(&s);
-        assert_eq!(s.quantum(), SchedulerConfig::default().quantum);
     }
 
     #[test]

@@ -3,23 +3,22 @@
 //! Devices are partitioned into fixed-size chunks; workers *steal* the next
 //! unclaimed chunk off a shared atomic cursor, so a worker stuck on an
 //! expensive device (a spinner stepping every quantum) never idles its
-//! siblings. Each finished report is written into its device's row of a
-//! pre-sized [`ReportSlab`], so the assembled slab is ordered by device id
-//! and the aggregate output is byte-identical no matter how many workers
-//! ran — the determinism contract the property tests pin down.
+//! siblings. Each worker returns its finished chunks tagged with their
+//! first device id; the chunks are then laid out in id order, so the
+//! assembled report is ordered by device id and the aggregate output is
+//! byte-identical no matter how many workers ran — the determinism
+//! contract the property tests pin down.
 //!
-//! No external dependencies: plain scoped threads, one atomic, one mutex.
+//! No external dependencies: plain scoped threads and one atomic.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::device::DeviceReport;
 use crate::report::FleetReport;
 use crate::scenario::Scenario;
-use crate::slab::ReportSlab;
 
-/// Devices claimed per steal. Big enough to amortise the cursor bump and
-/// the results lock, small enough to balance tail latency across workers.
+/// Devices claimed per steal. Big enough to amortise the cursor bump,
+/// small enough to balance tail latency across workers.
 const CHUNK: usize = 16;
 
 /// Runs the fleet on all available cores (`std::thread::available_parallelism`).
@@ -37,39 +36,40 @@ pub fn run_fleet_with(scenario: &Scenario, threads: usize) -> FleetReport {
     let specs = scenario.specs();
     let threads = threads.max(1).min(specs.len().max(1));
     let cursor = AtomicUsize::new(0);
-    let slab = Mutex::new(ReportSlab::with_len(specs.len()));
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // Per-worker scratch lives across every chunk this worker
-                // steals: the report buffer and the per-device extraction
-                // scratch are allocated once, not per device.
-                let mut scratch = crate::device::DeviceScratch::default();
-                let mut reports: Vec<DeviceReport> = Vec::with_capacity(CHUNK);
-                loop {
-                    let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= specs.len() {
-                        break;
-                    }
-                    let end = (start + CHUNK).min(specs.len());
-                    // Simulate the whole chunk before taking the lock once.
-                    reports.clear();
-                    reports.extend(
-                        specs[start..end]
+    let mut chunks: Vec<(usize, Vec<DeviceReport>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    // Per-worker extraction scratch lives across every
+                    // chunk this worker steals: allocated once, not per
+                    // device.
+                    let mut scratch = crate::device::DeviceScratch::default();
+                    let mut done = Vec::new();
+                    loop {
+                        let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
+                        if start >= specs.len() {
+                            break;
+                        }
+                        let end = (start + CHUNK).min(specs.len());
+                        let rows = specs[start..end]
                             .iter()
-                            .map(|spec| crate::device::simulate_device_with(spec, &mut scratch)),
-                    );
-                    let mut slab = slab.lock().expect("no worker panics while holding it");
-                    for (offset, report) in reports.drain(..).enumerate() {
-                        slab.set(start + offset, &report);
+                            .map(|spec| crate::device::simulate_device_with(spec, &mut scratch))
+                            .collect();
+                        done.push((start, rows));
                     }
-                }
-            });
-        }
+                    done
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-
-    FleetReport::new(scenario, slab.into_inner().expect("workers joined"))
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    let devices = chunks.into_iter().flat_map(|(_, rows)| rows).collect();
+    FleetReport::new(scenario, devices)
 }
 
 #[cfg(test)]

@@ -37,8 +37,9 @@
 //!   it (steady epochs fast-forwarded, dynamic epochs stepped), and
 //!   extracts a compact [`device::DeviceReport`].
 //! * [`executor`] — shards devices across `std::thread` workers into a
-//!   retained [`slab::ReportSlab`].
-//! * [`slab`] — struct-of-arrays storage of per-device telemetry.
+//!   retained, id-ordered `Vec<`[`device::DeviceReport`]`>`.
+//! * [`totals`] — the telemetry table: each exact fleet total declared
+//!   once, shared by the retained and streamed aggregates.
 //! * [`stream`] — O(workers × bins) streaming aggregation with exact
 //!   merges, plus deterministic checkpoint/resume.
 //! * [`report`] — fleet percentiles (p50/p90/p99 lifetime, tail power) and
@@ -56,8 +57,8 @@ pub mod fault_driver;
 pub mod policy_driver;
 pub mod report;
 pub mod scenario;
-pub mod slab;
 pub mod stream;
+pub mod totals;
 
 pub use cinder_faults::{FaultConfig, FaultPlan, FlapSemantics, OutageSpec, RetryPolicy};
 pub use cinder_policy::{PolicyConfig, PolicyVariant, PresenceState, PresenceTrace};
@@ -67,8 +68,8 @@ pub use fault_driver::FaultRuntime;
 pub use policy_driver::PolicyRuntime;
 pub use report::{FleetReport, FleetSummary};
 pub use scenario::{DataPlan, DeviceSpec, Scenario, Workload};
-pub use slab::ReportSlab;
 pub use stream::{
     checkpoint_fleet, resume_fleet, stream_fleet, stream_fleet_span, stream_fleet_with,
     FleetCheckpoint, StreamReport, StreamSummary, CHECKPOINT_FORMAT,
 };
+pub use totals::FleetTotals;

@@ -7,7 +7,7 @@
 //! deterministic JSON summary. All writers propagate [`io::Result`] so a
 //! read-only output directory is a diagnosable error, not a panic.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -16,7 +16,7 @@ use cinder_sim::{json_string, Series, SimDuration, SimTime, Summary, TraceSet};
 
 use crate::device::DeviceReport;
 use crate::scenario::Scenario;
-use crate::slab::ReportSlab;
+use crate::totals::FleetTotals;
 
 /// A finished fleet run: ordered per-device telemetry plus scenario
 /// identity.
@@ -28,15 +28,19 @@ pub struct FleetReport {
     pub seed: u64,
     /// Per-device horizon.
     pub horizon: SimDuration,
-    /// Columnar per-device telemetry; row `i` is device `i`.
-    pub devices: ReportSlab,
+    /// Per-device telemetry; element `i` is device `i`.
+    pub devices: Vec<DeviceReport>,
 }
 
-/// Aggregate distributions over the fleet.
+/// The fleet aggregate both JSON reports render: exact totals plus five
+/// distributions. The retained report's percentiles are exact; a
+/// streamed run's are histogram estimates (its min/max/mean are exact).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSummary {
     /// Device count.
-    pub devices: usize,
+    pub devices: u64,
+    /// Exact fleet-wide totals (see [`crate::totals`]).
+    pub totals: FleetTotals,
     /// Projected battery lifetime distribution, hours.
     pub lifetime_h: Option<Summary>,
     /// Average platform power distribution, milliwatts (its p99 is the
@@ -46,68 +50,33 @@ pub struct FleetSummary {
     pub radio_activations: Option<Summary>,
     /// Starvation time distribution, seconds.
     pub starved_s: Option<Summary>,
-    /// Total energy the whole fleet drew, joules.
-    pub fleet_energy_j: f64,
-    /// Devices whose §9 data plan ran out (a send blocked on bytes in the
-    /// kernel).
-    pub quota_exhausted: usize,
-    /// Total sends across the fleet that the kernel held on byte quotas.
-    pub bytes_blocked_sends: u64,
-    /// Devices holding at least one reserve in debt at the horizon.
-    pub devices_in_debt: usize,
-    /// Total energy drained by reserve-gated peripherals (backlight + GPS)
-    /// across the fleet, joules.
-    pub peripheral_energy_j: f64,
-    /// Total forced peripheral shutdowns (empty reserve → hardware down)
-    /// across the fleet.
-    pub forced_shutdowns: u64,
-    /// Σ `offload` syscalls across the fleet.
-    pub offload_attempts: u64,
-    /// Σ offload requests the shared backend admitted.
-    pub offload_accepted: u64,
-    /// Σ offloads completed by a backend response in time.
-    pub offload_completed: u64,
-    /// Σ offloads refused up front (backend full, plan uncovered).
-    pub offload_rejected: u64,
-    /// Σ offloads whose deadline fired before the response.
-    pub offload_timed_out: u64,
     /// Per-device mean offload request latency distribution, seconds
     /// (devices with at least one completed offload).
     pub offload_latency_s: Option<Summary>,
-    /// Joules per completed offload request: total energy of the devices
-    /// that attempted offloads, divided by the fleet's completed requests
-    /// (0 when nothing completed).
-    pub joules_per_request: f64,
-    /// Σ tap/drive re-rates the policy engines applied across the fleet.
-    pub policy_rerates: u64,
-    /// Σ background-demotion edges across the fleet.
-    pub policy_demotions: u64,
-    /// Devices whose projected lifetime covered the policy's target.
-    pub lifetime_target_hits: usize,
-    /// Σ user-model seconds per presence state (Active, Ambient, Away,
-    /// Asleep) across the fleet.
-    pub presence_s: [u64; 4],
-    /// Σ radio link flaps the fault injector landed.
-    pub link_flaps: u64,
-    /// Σ exact link-down time across the fleet, µs.
-    pub link_down_us: u64,
-    /// Σ in-flight bytes lost to drop-semantics flaps.
-    pub flap_lost_bytes: u64,
-    /// Σ transient app kills the fault supervisors landed.
-    pub crashes: u64,
-    /// Σ program instances respawned after a crash.
-    pub restarts: u64,
-    /// Σ backoff retries the resilience layers scheduled.
-    pub retries: u64,
-    /// Σ work items abandoned after the retry budget ran out.
-    pub retries_exhausted: u64,
-    /// Total battery capacity fade the aging taps drained, joules.
-    pub fade_j: f64,
+}
+
+/// What device `d` contributes to each [`FleetSummary`] distribution, in
+/// field order; `None` where it contributes nothing (no completed
+/// offload, so no mean latency).
+pub(crate) fn distribution_samples(d: &DeviceReport, horizon: SimDuration) -> [Option<f64>; 5] {
+    [
+        Some(d.lifetime_h),
+        Some(avg_power_mw(d, horizon)),
+        Some(d.radio_activations as f64),
+        Some(d.starved_s),
+        (d.offload_completed > 0)
+            .then(|| d.offload_latency_us as f64 / d.offload_completed as f64 / 1e6),
+    ]
+}
+
+/// Average platform power of device `d` over `horizon`, milliwatts.
+fn avg_power_mw(d: &DeviceReport, horizon: SimDuration) -> f64 {
+    d.total_energy_uj as f64 / horizon.as_secs_f64() / 1_000.0
 }
 
 impl FleetReport {
-    /// Assembles a report (the slab's row order *is* the device-id order).
-    pub fn new(scenario: &Scenario, devices: ReportSlab) -> FleetReport {
+    /// Assembles a report from rows already in device-id order.
+    pub fn new(scenario: &Scenario, devices: Vec<DeviceReport>) -> FleetReport {
         FleetReport {
             scenario: scenario.name.clone(),
             seed: scenario.seed,
@@ -116,87 +85,30 @@ impl FleetReport {
         }
     }
 
-    /// Average platform power of device `d` in milliwatts.
-    fn avg_power_mw(&self, d: &DeviceReport) -> f64 {
-        d.total_energy_uj as f64 / self.horizon.as_secs_f64() / 1_000.0
-    }
-
-    /// The aggregate distributions.
+    /// The aggregate: every row folded through [`FleetTotals::observe`],
+    /// plus exact percentiles of each distribution.
     pub fn summary(&self) -> FleetSummary {
-        let collect = |f: &dyn Fn(&DeviceReport) -> f64| -> Vec<f64> {
-            self.devices.iter().map(|d| f(&d)).collect()
-        };
-        let offload_completed: u64 = self.devices.iter().map(|d| d.offload_completed).sum();
+        let mut totals = FleetTotals::default();
+        let mut samples: [Vec<f64>; 5] = Default::default();
+        for d in &self.devices {
+            totals.observe(d);
+            for (column, v) in samples
+                .iter_mut()
+                .zip(distribution_samples(d, self.horizon))
+            {
+                column.extend(v);
+            }
+        }
+        let [lifetime_h, avg_power_mw, radio_activations, starved_s, offload_latency_s] =
+            samples.map(|column| Summary::from_values(&column));
         FleetSummary {
-            devices: self.devices.len(),
-            lifetime_h: Summary::from_values(&collect(&|d| d.lifetime_h)),
-            avg_power_mw: Summary::from_values(&collect(&|d| self.avg_power_mw(d))),
-            radio_activations: Summary::from_values(&collect(&|d| d.radio_activations as f64)),
-            starved_s: Summary::from_values(&collect(&|d| d.starved_s)),
-            fleet_energy_j: self
-                .devices
-                .iter()
-                .map(|d| d.total_energy_uj as f64 / 1e6)
-                .sum(),
-            quota_exhausted: self.devices.iter().filter(|d| d.quota_exhausted).count(),
-            bytes_blocked_sends: self.devices.iter().map(|d| d.bytes_blocked_sends).sum(),
-            devices_in_debt: self.devices.iter().filter(|d| d.debt_reserves > 0).count(),
-            peripheral_energy_j: self
-                .devices
-                .iter()
-                .map(|d| (d.backlight_energy_uj + d.gps_energy_uj) as f64 / 1e6)
-                .sum(),
-            forced_shutdowns: self
-                .devices
-                .iter()
-                .map(|d| d.backlight_shutdowns + d.gps_shutdowns)
-                .sum(),
-            offload_attempts: self.devices.iter().map(|d| d.offload_attempts).sum(),
-            offload_accepted: self.devices.iter().map(|d| d.offload_accepted).sum(),
-            offload_completed,
-            offload_rejected: self.devices.iter().map(|d| d.offload_rejected).sum(),
-            offload_timed_out: self.devices.iter().map(|d| d.offload_timed_out).sum(),
-            offload_latency_s: Summary::from_values(
-                &self
-                    .devices
-                    .iter()
-                    .filter(|d| d.offload_completed > 0)
-                    .map(|d| d.offload_latency_us as f64 / d.offload_completed as f64 / 1e6)
-                    .collect::<Vec<f64>>(),
-            ),
-            joules_per_request: if offload_completed == 0 {
-                0.0
-            } else {
-                self.devices
-                    .iter()
-                    .filter(|d| d.offload_attempts > 0)
-                    .map(|d| d.total_energy_uj as f64 / 1e6)
-                    .sum::<f64>()
-                    / offload_completed as f64
-            },
-            policy_rerates: self.devices.iter().map(|d| d.policy_rerates).sum(),
-            policy_demotions: self.devices.iter().map(|d| d.policy_demotions).sum(),
-            lifetime_target_hits: self
-                .devices
-                .iter()
-                .filter(|d| d.lifetime_target_hit)
-                .count(),
-            presence_s: self.devices.iter().fold([0u64; 4], |acc, d| {
-                [
-                    acc[0] + d.presence_active_s,
-                    acc[1] + d.presence_ambient_s,
-                    acc[2] + d.presence_away_s,
-                    acc[3] + d.presence_asleep_s,
-                ]
-            }),
-            link_flaps: self.devices.iter().map(|d| d.link_flaps).sum(),
-            link_down_us: self.devices.iter().map(|d| d.link_down_us).sum(),
-            flap_lost_bytes: self.devices.iter().map(|d| d.flap_lost_bytes).sum(),
-            crashes: self.devices.iter().map(|d| d.crashes).sum(),
-            restarts: self.devices.iter().map(|d| d.restarts).sum(),
-            retries: self.devices.iter().map(|d| d.retries).sum(),
-            retries_exhausted: self.devices.iter().map(|d| d.retries_exhausted).sum(),
-            fade_j: self.devices.iter().map(|d| d.fade_uj).sum::<i64>() as f64 / 1e6,
+            devices: self.devices.len() as u64,
+            totals,
+            lifetime_h,
+            avg_power_mw,
+            radio_activations,
+            starved_s,
+            offload_latency_s,
         }
     }
 
@@ -205,9 +117,8 @@ impl FleetReport {
     pub fn lifetime_histogram(&self, bins: usize) -> Vec<(f64, usize)> {
         let finite: Vec<f64> = self
             .devices
-            .lifetimes_h()
             .iter()
-            .copied()
+            .map(|d| d.lifetime_h)
             .filter(|l| l.is_finite())
             .collect();
         let (Some(&min), Some(&max)) = (
@@ -257,7 +168,7 @@ impl FleetReport {
                 d.backlight_shutdowns,
                 d.gps_shutdowns,
                 d.lifetime_h,
-                self.avg_power_mw(&d),
+                avg_power_mw(d, self.horizon),
                 d.radio_activations,
                 d.radio_active_s,
                 d.net_bytes,
@@ -304,7 +215,7 @@ impl FleetReport {
         for d in &self.devices {
             let at = SimTime::from_secs(d.id);
             lifetime.push(at, d.lifetime_h);
-            power.push(at, self.avg_power_mw(&d));
+            power.push(at, avg_power_mw(d, self.horizon));
             starved.push(at, d.starved_s);
         }
         ts.insert(lifetime);
@@ -328,71 +239,8 @@ impl FleetReport {
     /// order, fixed float precision): the artefact the scale benchmark and
     /// CI compare byte-for-byte across thread counts.
     pub fn to_json(&self) -> String {
-        let s = self.summary();
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"devices\": {},", s.devices);
-        let _ = writeln!(out, "  \"horizon_s\": {:.3},", self.horizon.as_secs_f64());
-        let _ = writeln!(out, "  \"fleet_energy_j\": {:.6},", s.fleet_energy_j);
-        let _ = writeln!(out, "  \"lifetime_h\": {},", summary_json(&s.lifetime_h));
-        let _ = writeln!(
-            out,
-            "  \"avg_power_mw\": {},",
-            summary_json(&s.avg_power_mw)
-        );
-        let _ = writeln!(
-            out,
-            "  \"radio_activations\": {},",
-            summary_json(&s.radio_activations)
-        );
-        let _ = writeln!(out, "  \"starved_s\": {},", summary_json(&s.starved_s));
-        let _ = writeln!(out, "  \"quota_exhausted\": {},", s.quota_exhausted);
-        let _ = writeln!(out, "  \"bytes_blocked_sends\": {},", s.bytes_blocked_sends);
-        let _ = writeln!(
-            out,
-            "  \"peripheral_energy_j\": {:.6},",
-            s.peripheral_energy_j
-        );
-        let _ = writeln!(out, "  \"forced_shutdowns\": {},", s.forced_shutdowns);
-        let _ = writeln!(out, "  \"offload_attempts\": {},", s.offload_attempts);
-        let _ = writeln!(out, "  \"offload_accepted\": {},", s.offload_accepted);
-        let _ = writeln!(out, "  \"offload_completed\": {},", s.offload_completed);
-        let _ = writeln!(out, "  \"offload_rejected\": {},", s.offload_rejected);
-        let _ = writeln!(out, "  \"offload_timed_out\": {},", s.offload_timed_out);
-        let _ = writeln!(
-            out,
-            "  \"offload_latency_s\": {},",
-            summary_json(&s.offload_latency_s)
-        );
-        let _ = writeln!(
-            out,
-            "  \"joules_per_request\": {:.6},",
-            s.joules_per_request
-        );
-        let _ = writeln!(out, "  \"policy_rerates\": {},", s.policy_rerates);
-        let _ = writeln!(out, "  \"policy_demotions\": {},", s.policy_demotions);
-        let _ = writeln!(
-            out,
-            "  \"lifetime_target_hits\": {},",
-            s.lifetime_target_hits
-        );
-        let _ = writeln!(
-            out,
-            "  \"presence_s\": [{}, {}, {}, {}],",
-            s.presence_s[0], s.presence_s[1], s.presence_s[2], s.presence_s[3]
-        );
-        let _ = writeln!(out, "  \"link_flaps\": {},", s.link_flaps);
-        let _ = writeln!(out, "  \"link_down_us\": {},", s.link_down_us);
-        let _ = writeln!(out, "  \"flap_lost_bytes\": {},", s.flap_lost_bytes);
-        let _ = writeln!(out, "  \"crashes\": {},", s.crashes);
-        let _ = writeln!(out, "  \"restarts\": {},", s.restarts);
-        let _ = writeln!(out, "  \"retries\": {},", s.retries);
-        let _ = writeln!(out, "  \"retries_exhausted\": {},", s.retries_exhausted);
-        let _ = writeln!(out, "  \"fade_j\": {:.6},", s.fade_j);
-        let _ = writeln!(out, "  \"devices_in_debt\": {}", s.devices_in_debt);
-        out.push_str("}\n");
-        out
+        self.summary()
+            .to_json(&self.scenario, self.seed, self.horizon)
     }
 
     /// Writes [`FleetReport::to_json`] to `path`.
@@ -404,9 +252,67 @@ impl FleetReport {
     }
 }
 
-/// The one JSON rendering of a distribution block, shared by the retained
-/// report and the streaming summary so both emit the same shape.
-pub(crate) fn summary_json(sum: &Option<Summary>) -> String {
+impl FleetSummary {
+    /// The one JSON rendering of a fleet aggregate, retained or streamed
+    /// (fixed key order, fixed float precision).
+    pub(crate) fn to_json(&self, scenario: &str, seed: u64, horizon: SimDuration) -> String {
+        let t = &self.totals;
+        let mut out = String::from("{\n");
+        let mut put = |key: &str, value: &dyn Display| {
+            let _ = writeln!(out, "  \"{key}\": {value},");
+        };
+        put("scenario", &json_string(scenario));
+        put("seed", &seed);
+        put("devices", &self.devices);
+        put("horizon_s", &format_args!("{:.3}", horizon.as_secs_f64()));
+        put("fleet_energy_j", &format_args!("{:.6}", t.fleet_energy_j()));
+        put("lifetime_h", &summary_json(&self.lifetime_h));
+        put("avg_power_mw", &summary_json(&self.avg_power_mw));
+        put("radio_activations", &summary_json(&self.radio_activations));
+        put("starved_s", &summary_json(&self.starved_s));
+        put("quota_exhausted", &t.quota_exhausted());
+        put("bytes_blocked_sends", &t.bytes_blocked_sends());
+        put(
+            "peripheral_energy_j",
+            &format_args!("{:.6}", t.peripheral_energy_j()),
+        );
+        put("forced_shutdowns", &t.forced_shutdowns());
+        put("offload_attempts", &t.offload_attempts());
+        put("offload_accepted", &t.offload_accepted());
+        put("offload_completed", &t.offload_completed());
+        put("offload_rejected", &t.offload_rejected());
+        put("offload_timed_out", &t.offload_timed_out());
+        put("offload_latency_s", &summary_json(&self.offload_latency_s));
+        put(
+            "joules_per_request",
+            &format_args!("{:.6}", t.joules_per_request()),
+        );
+        put("policy_rerates", &t.policy_rerates());
+        put("policy_demotions", &t.policy_demotions());
+        put("lifetime_target_hits", &t.lifetime_target_hits());
+        let [active, ambient, away, asleep] = t.presence_s();
+        put(
+            "presence_s",
+            &format_args!("[{active}, {ambient}, {away}, {asleep}]"),
+        );
+        put("link_flaps", &t.link_flaps());
+        put("link_down_us", &t.link_down_us());
+        put("flap_lost_bytes", &t.flap_lost_bytes());
+        put("crashes", &t.crashes());
+        put("restarts", &t.restarts());
+        put("retries", &t.retries());
+        put("retries_exhausted", &t.retries_exhausted());
+        put("fade_j", &format_args!("{:.6}", t.fade_j()));
+        put("devices_in_debt", &t.devices_in_debt());
+        // The last key takes no trailing comma.
+        out.truncate(out.len() - ",\n".len());
+        out.push_str("\n}\n");
+        out
+    }
+}
+
+/// A distribution block: `null`, or its min/percentiles/max/mean.
+fn summary_json(sum: &Option<Summary>) -> String {
     match sum {
         None => "null".to_string(),
         Some(s) => format!(
@@ -486,43 +392,47 @@ mod tests {
         let lifetime = s.lifetime_h.unwrap();
         assert_eq!(lifetime.min, 4.0);
         assert_eq!(lifetime.max, 13.0);
-        assert_eq!(s.quota_exhausted, 1);
-        assert_eq!(s.bytes_blocked_sends, 3);
-        assert_eq!(s.devices_in_debt, 5);
+        assert_eq!(s.totals.quota_exhausted(), 1);
+        assert_eq!(s.totals.bytes_blocked_sends(), 3);
+        assert_eq!(s.totals.devices_in_debt(), 5);
         // Σ (id × 1 J) + 10 × 0.5 J of GPS.
-        assert!((s.peripheral_energy_j - 50.0).abs() < 1e-9);
-        assert_eq!(s.forced_shutdowns, 3);
+        assert!((s.totals.peripheral_energy_j() - 50.0).abs() < 1e-9);
+        assert_eq!(s.totals.forced_shutdowns(), 3);
         // 2500 J × 10 devices.
-        assert!((s.fleet_energy_j - 25_000.0).abs() < 1e-9);
+        assert!((s.totals.fleet_energy_j() - 25_000.0).abs() < 1e-9);
         // 2.5 MJ over 3600 s ≈ 694.4 mW for every device.
         let power = s.avg_power_mw.unwrap();
         assert!((power.mean - 694.444).abs() < 0.01, "{}", power.mean);
         // Offload totals: Σ 2id, Σ id, Σ id/2 over ids 0..10.
-        assert_eq!(s.offload_attempts, 90);
-        assert_eq!(s.offload_accepted, 45);
-        assert_eq!(s.offload_completed, 20);
-        assert_eq!(s.offload_rejected, 45);
-        assert_eq!(s.offload_timed_out, 25);
+        assert_eq!(s.totals.offload_attempts(), 90);
+        assert_eq!(s.totals.offload_accepted(), 45);
+        assert_eq!(s.totals.offload_completed(), 20);
+        assert_eq!(s.totals.offload_rejected(), 45);
+        assert_eq!(s.totals.offload_timed_out(), 25);
         // Every completing device's mean latency is exactly 0.6 s.
         let lat = s.offload_latency_s.unwrap();
         assert!((lat.mean - 0.6).abs() < 1e-9, "{}", lat.mean);
         // 9 offloading devices × 2500 J over 20 completions.
-        assert!((s.joules_per_request - 9.0 * 2_500.0 / 20.0).abs() < 1e-6);
+        assert!((s.totals.joules_per_request() - 9.0 * 2_500.0 / 20.0).abs() < 1e-6);
         // Policy telemetry: Σ 3id, Σ id over ids 0..10; 5 devices hit.
-        assert_eq!(s.policy_rerates, 135);
-        assert_eq!(s.policy_demotions, 45);
-        assert_eq!(s.lifetime_target_hits, 5);
-        assert_eq!(s.presence_s, [1_000, 2_000, 3_000, 4_000]);
+        assert_eq!(s.totals.policy_rerates(), 135);
+        assert_eq!(s.totals.policy_demotions(), 45);
+        assert_eq!(s.totals.lifetime_target_hits(), 5);
+        assert_eq!(s.totals.presence_s(), [1_000, 2_000, 3_000, 4_000]);
         // Fault telemetry: Σ id, Σ id × 1 s, Σ 10id; ids 0/3/6/9 crash.
-        assert_eq!(s.link_flaps, 45);
-        assert_eq!(s.link_down_us, 45_000_000);
-        assert_eq!(s.flap_lost_bytes, 450);
-        assert_eq!(s.crashes, 4);
-        assert_eq!(s.restarts, 4);
-        assert_eq!(s.retries, 90);
-        assert_eq!(s.retries_exhausted, 8);
+        assert_eq!(s.totals.link_flaps(), 45);
+        assert_eq!(s.totals.link_down_us(), 45_000_000);
+        assert_eq!(s.totals.flap_lost_bytes(), 450);
+        assert_eq!(s.totals.crashes(), 4);
+        assert_eq!(s.totals.restarts(), 4);
+        assert_eq!(s.totals.retries(), 90);
+        assert_eq!(s.totals.retries_exhausted(), 8);
         // 1.5 J of fade per device.
-        assert!((s.fade_j - 15.0).abs() < 1e-9, "{}", s.fade_j);
+        assert!(
+            (s.totals.fade_j() - 15.0).abs() < 1e-9,
+            "{}",
+            s.totals.fade_j()
+        );
     }
 
     #[test]
@@ -536,7 +446,7 @@ mod tests {
     #[test]
     fn histogram_of_empty_fleet_is_empty() {
         let empty = FleetReport {
-            devices: ReportSlab::new(),
+            devices: Vec::new(),
             ..report()
         };
         assert!(empty.lifetime_histogram(4).is_empty());

@@ -44,8 +44,9 @@ use std::sync::Mutex;
 use cinder_sim::{json_string, SimDuration, Summary};
 
 use crate::device::{DeviceReport, DeviceScratch};
-use crate::report::summary_json;
+use crate::report::{distribution_samples, FleetSummary};
 use crate::scenario::Scenario;
+use crate::totals::FleetTotals;
 
 /// Histogram bins per channel. 256 bins over each channel's fixed range
 /// gives sub-percent quantile resolution at O(bins) memory.
@@ -221,6 +222,48 @@ impl Channel {
         }
         let _ = writeln!(out, "{counts}");
     }
+
+    /// Parses the lines [`Channel::write_text`] wrote into this channel,
+    /// which must carry the same configuration (a checkpoint's channels are
+    /// checked against the ones this build constructs, so a crafted range
+    /// or scale can neither panic nor poison a later merge).
+    fn read_text(
+        &mut self,
+        name: &str,
+        mut field: impl FnMut(&str) -> Result<String, String>,
+    ) -> Result<(), String> {
+        let header = field("channel")?;
+        if header != name {
+            return Err(format!("expected channel {name}, got {header}"));
+        }
+        let cfg = parse_bits_row::<3>(&field("cfg")?)?;
+        let want = [self.scale, self.lo, self.hi];
+        if cfg.map(f64::to_bits) != want.map(f64::to_bits) {
+            return Err(format!(
+                "channel {name} cfg (scale, lo, hi) = {cfg:?} does not match this \
+                 build's {want:?} for the checkpoint's horizon"
+            ));
+        }
+        let count = field("count")?;
+        let mut it = count.split(' ');
+        self.count = parse_num(it.next().unwrap_or(""))?;
+        self.nonfinite = parse_num(it.next().unwrap_or(""))?;
+        self.sum_fp = parse_num(&field("sum_fp")?)?;
+        [self.min, self.max] = parse_bits_row::<2>(&field("minmax")?)?;
+        let counts: Result<Vec<u64>, String> = field("counts")?.split(' ').map(parse_num).collect();
+        self.counts = counts?;
+        if self.counts.len() != STREAM_BINS {
+            return Err(format!("expected {STREAM_BINS} bins for {name}"));
+        }
+        let binned: u128 = self.counts.iter().map(|&c| u128::from(c)).sum();
+        if binned != u128::from(self.count) {
+            return Err(format!(
+                "channel {name} counts sum to {binned}, not its count {}",
+                self.count
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The mergeable, checkpointable aggregate of a (partial) fleet run.
@@ -237,63 +280,8 @@ pub struct StreamSummary {
     horizon: SimDuration,
     /// Devices folded in so far.
     pub devices: u64,
-    /// Exact Σ total_energy_uj.
-    total_energy_uj: i128,
-    /// Exact Σ (backlight + GPS) µJ.
-    peripheral_energy_uj: i128,
-    /// Devices whose data plan ran out.
-    quota_exhausted: u64,
-    /// Σ sends held on byte quotas.
-    bytes_blocked_sends: u128,
-    /// Devices holding a reserve in debt at the horizon.
-    devices_in_debt: u64,
-    /// Σ forced peripheral shutdowns.
-    forced_shutdowns: u128,
-    /// Σ `offload` syscalls.
-    offload_attempts: u128,
-    /// Σ offload requests the shared backend admitted.
-    offload_accepted: u128,
-    /// Σ offloads completed by a backend response in time.
-    offload_completed: u128,
-    /// Σ offloads refused up front.
-    offload_rejected: u128,
-    /// Σ offloads whose deadline fired before the response.
-    offload_timed_out: u128,
-    /// Σ observed request latency over completed offloads, µs.
-    offload_latency_us: u128,
-    /// Σ total_energy_uj over devices that attempted offloads (the
-    /// joules-per-request numerator).
-    offload_energy_uj: i128,
-    /// Σ tap/drive re-rates the policy engines applied.
-    policy_rerates: u128,
-    /// Σ background-demotion edges.
-    policy_demotions: u128,
-    /// Devices whose projected lifetime covered the policy's target.
-    lifetime_target_hits: u64,
-    /// Σ user-model seconds spent Active.
-    presence_active_s: u128,
-    /// Σ user-model seconds spent Ambient.
-    presence_ambient_s: u128,
-    /// Σ user-model seconds spent Away.
-    presence_away_s: u128,
-    /// Σ user-model seconds spent Asleep.
-    presence_asleep_s: u128,
-    /// Σ radio link flaps the fault injectors landed.
-    link_flaps: u128,
-    /// Σ exact link-down time, µs.
-    link_down_us: u128,
-    /// Σ in-flight bytes lost to drop-semantics flaps.
-    flap_lost_bytes: u128,
-    /// Σ transient app kills the fault supervisors landed.
-    crashes: u128,
-    /// Σ program instances respawned after a crash.
-    restarts: u128,
-    /// Σ backoff retries the resilience layers scheduled.
-    retries: u128,
-    /// Σ work items abandoned after the retry budget ran out.
-    retries_exhausted: u128,
-    /// Exact Σ battery capacity fade, µJ.
-    fade_uj: i128,
+    /// Exact fleet-wide totals.
+    pub totals: FleetTotals,
     /// Projected lifetime distribution, hours.
     pub lifetime_h: Channel,
     /// Average platform power distribution, milliwatts.
@@ -319,34 +307,7 @@ impl StreamSummary {
         StreamSummary {
             horizon,
             devices: 0,
-            total_energy_uj: 0,
-            peripheral_energy_uj: 0,
-            quota_exhausted: 0,
-            bytes_blocked_sends: 0,
-            devices_in_debt: 0,
-            forced_shutdowns: 0,
-            offload_attempts: 0,
-            offload_accepted: 0,
-            offload_completed: 0,
-            offload_rejected: 0,
-            offload_timed_out: 0,
-            offload_latency_us: 0,
-            offload_energy_uj: 0,
-            policy_rerates: 0,
-            policy_demotions: 0,
-            lifetime_target_hits: 0,
-            presence_active_s: 0,
-            presence_ambient_s: 0,
-            presence_away_s: 0,
-            presence_asleep_s: 0,
-            link_flaps: 0,
-            link_down_us: 0,
-            flap_lost_bytes: 0,
-            crashes: 0,
-            restarts: 0,
-            retries: 0,
-            retries_exhausted: 0,
-            fade_uj: 0,
+            totals: FleetTotals::default(),
             // µh fixed point: exact to a microhour per device.
             lifetime_h: Channel::new(1e6, 0.0, 1_000.0),
             avg_power_mw: Channel::new(1e6, 0.0, 5_000.0),
@@ -363,213 +324,43 @@ impl StreamSummary {
     /// Folds one device's report into the summary.
     pub fn observe(&mut self, d: &DeviceReport) {
         self.devices += 1;
-        self.total_energy_uj += d.total_energy_uj as i128;
-        self.peripheral_energy_uj += (d.backlight_energy_uj + d.gps_energy_uj) as i128;
-        self.quota_exhausted += u64::from(d.quota_exhausted);
-        self.bytes_blocked_sends += u128::from(d.bytes_blocked_sends);
-        self.devices_in_debt += u64::from(d.debt_reserves > 0);
-        self.forced_shutdowns += u128::from(d.backlight_shutdowns + d.gps_shutdowns);
-        self.offload_attempts += u128::from(d.offload_attempts);
-        self.offload_accepted += u128::from(d.offload_accepted);
-        self.offload_completed += u128::from(d.offload_completed);
-        self.offload_rejected += u128::from(d.offload_rejected);
-        self.offload_timed_out += u128::from(d.offload_timed_out);
-        self.offload_latency_us += u128::from(d.offload_latency_us);
-        if d.offload_attempts > 0 {
-            self.offload_energy_uj += d.total_energy_uj as i128;
+        self.totals.observe(d);
+        let samples = distribution_samples(d, self.horizon);
+        for ((_, ch), v) in self.channels_mut().into_iter().zip(samples) {
+            if let Some(v) = v {
+                ch.observe(v);
+            }
         }
-        self.policy_rerates += u128::from(d.policy_rerates);
-        self.policy_demotions += u128::from(d.policy_demotions);
-        self.lifetime_target_hits += u64::from(d.lifetime_target_hit);
-        self.presence_active_s += u128::from(d.presence_active_s);
-        self.presence_ambient_s += u128::from(d.presence_ambient_s);
-        self.presence_away_s += u128::from(d.presence_away_s);
-        self.presence_asleep_s += u128::from(d.presence_asleep_s);
-        self.link_flaps += u128::from(d.link_flaps);
-        self.link_down_us += u128::from(d.link_down_us);
-        self.flap_lost_bytes += u128::from(d.flap_lost_bytes);
-        self.crashes += u128::from(d.crashes);
-        self.restarts += u128::from(d.restarts);
-        self.retries += u128::from(d.retries);
-        self.retries_exhausted += u128::from(d.retries_exhausted);
-        self.fade_uj += i128::from(d.fade_uj);
-        if d.offload_completed > 0 {
-            self.offload_latency_s
-                .observe(d.offload_latency_us as f64 / d.offload_completed as f64 / 1e6);
-        }
-        self.lifetime_h.observe(d.lifetime_h);
-        self.avg_power_mw
-            .observe(d.total_energy_uj as f64 / self.horizon.as_secs_f64() / 1_000.0);
-        self.radio_activations.observe(d.radio_activations as f64);
-        self.starved_s.observe(d.starved_s);
     }
 
     /// Exact merge of two partial summaries over the same horizon.
     pub fn merge(&mut self, other: &StreamSummary) {
         assert_eq!(self.horizon, other.horizon, "merging different horizons");
         self.devices += other.devices;
-        self.total_energy_uj += other.total_energy_uj;
-        self.peripheral_energy_uj += other.peripheral_energy_uj;
-        self.quota_exhausted += other.quota_exhausted;
-        self.bytes_blocked_sends += other.bytes_blocked_sends;
-        self.devices_in_debt += other.devices_in_debt;
-        self.forced_shutdowns += other.forced_shutdowns;
-        self.offload_attempts += other.offload_attempts;
-        self.offload_accepted += other.offload_accepted;
-        self.offload_completed += other.offload_completed;
-        self.offload_rejected += other.offload_rejected;
-        self.offload_timed_out += other.offload_timed_out;
-        self.offload_latency_us += other.offload_latency_us;
-        self.offload_energy_uj += other.offload_energy_uj;
-        self.policy_rerates += other.policy_rerates;
-        self.policy_demotions += other.policy_demotions;
-        self.lifetime_target_hits += other.lifetime_target_hits;
-        self.presence_active_s += other.presence_active_s;
-        self.presence_ambient_s += other.presence_ambient_s;
-        self.presence_away_s += other.presence_away_s;
-        self.presence_asleep_s += other.presence_asleep_s;
-        self.link_flaps += other.link_flaps;
-        self.link_down_us += other.link_down_us;
-        self.flap_lost_bytes += other.flap_lost_bytes;
-        self.crashes += other.crashes;
-        self.restarts += other.restarts;
-        self.retries += other.retries;
-        self.retries_exhausted += other.retries_exhausted;
-        self.fade_uj += other.fade_uj;
-        self.lifetime_h.merge(&other.lifetime_h);
-        self.avg_power_mw.merge(&other.avg_power_mw);
-        self.radio_activations.merge(&other.radio_activations);
-        self.starved_s.merge(&other.starved_s);
-        self.offload_latency_s.merge(&other.offload_latency_s);
-    }
-
-    /// Total fleet energy in joules (exact integer total, descaled once).
-    pub fn fleet_energy_j(&self) -> f64 {
-        self.total_energy_uj as f64 / 1e6
-    }
-
-    /// Total reserve-gated peripheral energy in joules.
-    pub fn peripheral_energy_j(&self) -> f64 {
-        self.peripheral_energy_uj as f64 / 1e6
-    }
-
-    /// Devices whose §9 data plan ran out.
-    pub fn quota_exhausted(&self) -> u64 {
-        self.quota_exhausted
-    }
-
-    /// Σ sends the kernel held on byte quotas.
-    pub fn bytes_blocked_sends(&self) -> u128 {
-        self.bytes_blocked_sends
-    }
-
-    /// Devices holding at least one reserve in debt at the horizon.
-    pub fn devices_in_debt(&self) -> u64 {
-        self.devices_in_debt
-    }
-
-    /// Σ forced peripheral shutdowns.
-    pub fn forced_shutdowns(&self) -> u128 {
-        self.forced_shutdowns
-    }
-
-    /// Σ `offload` syscalls across the fleet.
-    pub fn offload_attempts(&self) -> u128 {
-        self.offload_attempts
-    }
-
-    /// Σ offloads completed by a backend response in time.
-    pub fn offload_completed(&self) -> u128 {
-        self.offload_completed
-    }
-
-    /// Σ offloads refused up front.
-    pub fn offload_rejected(&self) -> u128 {
-        self.offload_rejected
-    }
-
-    /// Σ offloads whose deadline fired before the response.
-    pub fn offload_timed_out(&self) -> u128 {
-        self.offload_timed_out
-    }
-
-    /// Joules per completed offload request (exact integer totals,
-    /// descaled once; 0 when nothing completed).
-    pub fn joules_per_request(&self) -> f64 {
-        if self.offload_completed == 0 {
-            0.0
-        } else {
-            self.offload_energy_uj as f64 / 1e6 / self.offload_completed as f64
+        self.totals.merge(&other.totals);
+        for ((_, ch), (_, theirs)) in self.channels_mut().into_iter().zip(other.channels()) {
+            ch.merge(theirs);
         }
     }
 
-    /// Σ tap/drive re-rates the policy engines applied.
-    pub fn policy_rerates(&self) -> u128 {
-        self.policy_rerates
+    /// The aggregate in the shape both JSON reports render: exact totals,
+    /// exact min/max/mean, histogram-estimated percentiles.
+    pub fn fleet_summary(&self) -> FleetSummary {
+        let [lifetime_h, avg_power_mw, radio_activations, starved_s, offload_latency_s] =
+            self.channels().map(|(_, ch)| ch.summary());
+        FleetSummary {
+            devices: self.devices,
+            totals: self.totals.clone(),
+            lifetime_h,
+            avg_power_mw,
+            radio_activations,
+            starved_s,
+            offload_latency_s,
+        }
     }
 
-    /// Σ background-demotion edges.
-    pub fn policy_demotions(&self) -> u128 {
-        self.policy_demotions
-    }
-
-    /// Devices whose projected lifetime covered the policy's target.
-    pub fn lifetime_target_hits(&self) -> u64 {
-        self.lifetime_target_hits
-    }
-
-    /// Σ user-model seconds per presence state (Active, Ambient, Away,
-    /// Asleep).
-    pub fn presence_s(&self) -> [u128; 4] {
-        [
-            self.presence_active_s,
-            self.presence_ambient_s,
-            self.presence_away_s,
-            self.presence_asleep_s,
-        ]
-    }
-
-    /// Σ radio link flaps the fault injectors landed.
-    pub fn link_flaps(&self) -> u128 {
-        self.link_flaps
-    }
-
-    /// Σ exact link-down time across the fleet, µs.
-    pub fn link_down_us(&self) -> u128 {
-        self.link_down_us
-    }
-
-    /// Σ in-flight bytes lost to drop-semantics flaps.
-    pub fn flap_lost_bytes(&self) -> u128 {
-        self.flap_lost_bytes
-    }
-
-    /// Σ transient app kills the fault supervisors landed.
-    pub fn crashes(&self) -> u128 {
-        self.crashes
-    }
-
-    /// Σ program instances respawned after a crash.
-    pub fn restarts(&self) -> u128 {
-        self.restarts
-    }
-
-    /// Σ backoff retries the resilience layers scheduled.
-    pub fn retries(&self) -> u128 {
-        self.retries
-    }
-
-    /// Σ work items abandoned after the retry budget ran out.
-    pub fn retries_exhausted(&self) -> u128 {
-        self.retries_exhausted
-    }
-
-    /// Total battery capacity fade in joules (exact integer total,
-    /// descaled once).
-    pub fn fade_j(&self) -> f64 {
-        self.fade_uj as f64 / 1e6
-    }
-
+    /// The channels with their names, in [`FleetSummary`] distribution
+    /// order (also the checkpoint and histogram CSV order).
     fn channels(&self) -> [(&'static str, &Channel); 5] {
         [
             ("lifetime_h", &self.lifetime_h),
@@ -580,37 +371,21 @@ impl StreamSummary {
         ]
     }
 
+    /// [`StreamSummary::channels`], mutably.
+    fn channels_mut(&mut self) -> [(&'static str, &mut Channel); 5] {
+        [
+            ("lifetime_h", &mut self.lifetime_h),
+            ("avg_power_mw", &mut self.avg_power_mw),
+            ("radio_activations", &mut self.radio_activations),
+            ("starved_s", &mut self.starved_s),
+            ("offload_latency_s", &mut self.offload_latency_s),
+        ]
+    }
+
     fn write_text(&self, out: &mut String) {
         let _ = writeln!(out, "horizon_us {}", self.horizon.as_micros());
         let _ = writeln!(out, "observed {}", self.devices);
-        let _ = writeln!(out, "total_energy_uj {}", self.total_energy_uj);
-        let _ = writeln!(out, "peripheral_energy_uj {}", self.peripheral_energy_uj);
-        let _ = writeln!(out, "quota_exhausted {}", self.quota_exhausted);
-        let _ = writeln!(out, "bytes_blocked_sends {}", self.bytes_blocked_sends);
-        let _ = writeln!(out, "devices_in_debt {}", self.devices_in_debt);
-        let _ = writeln!(out, "forced_shutdowns {}", self.forced_shutdowns);
-        let _ = writeln!(out, "offload_attempts {}", self.offload_attempts);
-        let _ = writeln!(out, "offload_accepted {}", self.offload_accepted);
-        let _ = writeln!(out, "offload_completed {}", self.offload_completed);
-        let _ = writeln!(out, "offload_rejected {}", self.offload_rejected);
-        let _ = writeln!(out, "offload_timed_out {}", self.offload_timed_out);
-        let _ = writeln!(out, "offload_latency_us {}", self.offload_latency_us);
-        let _ = writeln!(out, "offload_energy_uj {}", self.offload_energy_uj);
-        let _ = writeln!(out, "policy_rerates {}", self.policy_rerates);
-        let _ = writeln!(out, "policy_demotions {}", self.policy_demotions);
-        let _ = writeln!(out, "lifetime_target_hits {}", self.lifetime_target_hits);
-        let _ = writeln!(out, "presence_active_s {}", self.presence_active_s);
-        let _ = writeln!(out, "presence_ambient_s {}", self.presence_ambient_s);
-        let _ = writeln!(out, "presence_away_s {}", self.presence_away_s);
-        let _ = writeln!(out, "presence_asleep_s {}", self.presence_asleep_s);
-        let _ = writeln!(out, "link_flaps {}", self.link_flaps);
-        let _ = writeln!(out, "link_down_us {}", self.link_down_us);
-        let _ = writeln!(out, "flap_lost_bytes {}", self.flap_lost_bytes);
-        let _ = writeln!(out, "crashes {}", self.crashes);
-        let _ = writeln!(out, "restarts {}", self.restarts);
-        let _ = writeln!(out, "retries {}", self.retries);
-        let _ = writeln!(out, "retries_exhausted {}", self.retries_exhausted);
-        let _ = writeln!(out, "fade_uj {}", self.fade_uj);
+        self.totals.write_text(out);
         for (name, ch) in self.channels() {
             ch.write_text(name, out);
         }
@@ -631,86 +406,16 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
-    /// Deterministic JSON in the same shape and key order as
+    /// Deterministic JSON through the same renderer as
     /// [`crate::FleetReport::to_json`] (percentiles are the streaming
     /// estimates; totals and min/max/mean are exact).
     pub fn to_json(&self) -> String {
-        let s = &self.summary;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"devices\": {},", s.devices);
-        let _ = writeln!(out, "  \"horizon_s\": {:.3},", self.horizon.as_secs_f64());
-        let _ = writeln!(out, "  \"fleet_energy_j\": {:.6},", s.fleet_energy_j());
-        let _ = writeln!(
-            out,
-            "  \"lifetime_h\": {},",
-            summary_json(&s.lifetime_h.summary())
-        );
-        let _ = writeln!(
-            out,
-            "  \"avg_power_mw\": {},",
-            summary_json(&s.avg_power_mw.summary())
-        );
-        let _ = writeln!(
-            out,
-            "  \"radio_activations\": {},",
-            summary_json(&s.radio_activations.summary())
-        );
-        let _ = writeln!(
-            out,
-            "  \"starved_s\": {},",
-            summary_json(&s.starved_s.summary())
-        );
-        let _ = writeln!(out, "  \"quota_exhausted\": {},", s.quota_exhausted);
-        let _ = writeln!(out, "  \"bytes_blocked_sends\": {},", s.bytes_blocked_sends);
-        let _ = writeln!(
-            out,
-            "  \"peripheral_energy_j\": {:.6},",
-            s.peripheral_energy_uj as f64 / 1e6
-        );
-        let _ = writeln!(out, "  \"forced_shutdowns\": {},", s.forced_shutdowns);
-        let _ = writeln!(out, "  \"offload_attempts\": {},", s.offload_attempts);
-        let _ = writeln!(out, "  \"offload_accepted\": {},", s.offload_accepted);
-        let _ = writeln!(out, "  \"offload_completed\": {},", s.offload_completed);
-        let _ = writeln!(out, "  \"offload_rejected\": {},", s.offload_rejected);
-        let _ = writeln!(out, "  \"offload_timed_out\": {},", s.offload_timed_out);
-        let _ = writeln!(
-            out,
-            "  \"offload_latency_s\": {},",
-            summary_json(&s.offload_latency_s.summary())
-        );
-        let _ = writeln!(
-            out,
-            "  \"joules_per_request\": {:.6},",
-            s.joules_per_request()
-        );
-        let _ = writeln!(out, "  \"policy_rerates\": {},", s.policy_rerates);
-        let _ = writeln!(out, "  \"policy_demotions\": {},", s.policy_demotions);
-        let _ = writeln!(
-            out,
-            "  \"lifetime_target_hits\": {},",
-            s.lifetime_target_hits
-        );
-        let _ = writeln!(
-            out,
-            "  \"presence_s\": [{}, {}, {}, {}],",
-            s.presence_active_s, s.presence_ambient_s, s.presence_away_s, s.presence_asleep_s
-        );
-        let _ = writeln!(out, "  \"link_flaps\": {},", s.link_flaps);
-        let _ = writeln!(out, "  \"link_down_us\": {},", s.link_down_us);
-        let _ = writeln!(out, "  \"flap_lost_bytes\": {},", s.flap_lost_bytes);
-        let _ = writeln!(out, "  \"crashes\": {},", s.crashes);
-        let _ = writeln!(out, "  \"restarts\": {},", s.restarts);
-        let _ = writeln!(out, "  \"retries\": {},", s.retries);
-        let _ = writeln!(out, "  \"retries_exhausted\": {},", s.retries_exhausted);
-        let _ = writeln!(out, "  \"fade_j\": {:.6},", s.fade_j());
-        let _ = writeln!(out, "  \"devices_in_debt\": {}", s.devices_in_debt);
-        out.push_str("}\n");
-        out
+        self.summary
+            .fleet_summary()
+            .to_json(&self.scenario, self.seed, self.horizon)
     }
 
-    /// The four channel histograms as one deterministic CSV
+    /// The five channel histograms as one deterministic CSV
     /// (`metric,bin_lo,count`, all bins, fixed order).
     pub fn histograms_csv(&self) -> String {
         let mut out = String::from("metric,bin_lo,count\n");
@@ -786,7 +491,11 @@ impl FleetCheckpoint {
     /// both versions — resuming it through the current layout would
     /// silently drop accumulators — and one whose checksum line is missing
     /// or does not match its body (truncation, bit flips) is rejected
-    /// before any field is trusted.
+    /// before any field is trusted. A well-formed file that cannot describe
+    /// a resumable run is rejected by name too: a zero horizon, `observed`
+    /// ≠ `next_device` or a cursor past `fleet_devices`, a channel `cfg`
+    /// other than [`StreamSummary::new`]'s for that horizon, or bins that
+    /// do not sum to their channel's count.
     pub fn from_text(text: &str) -> Result<FleetCheckpoint, String> {
         let mut lines = text.lines();
         let header = lines.next().unwrap_or("");
@@ -832,75 +541,25 @@ impl FleetCheckpoint {
         let seed = parse_num::<u64>(&field("seed")?)?;
         let fleet_devices = parse_num::<u32>(&field("fleet_devices")?)?;
         let next_device = parse_num::<u64>(&field("next_device")?)?;
-        let horizon = SimDuration::from_micros(parse_num::<u64>(&field("horizon_us")?)?);
+        let horizon_us = parse_num::<u64>(&field("horizon_us")?)?;
+        if horizon_us == 0 {
+            return Err("checkpoint horizon_us is 0; a fleet horizon must be positive".into());
+        }
+        let horizon = SimDuration::from_micros(horizon_us);
 
         let mut summary = StreamSummary::new(horizon);
         summary.devices = parse_num(&field("observed")?)?;
-        summary.total_energy_uj = parse_num(&field("total_energy_uj")?)?;
-        summary.peripheral_energy_uj = parse_num(&field("peripheral_energy_uj")?)?;
-        summary.quota_exhausted = parse_num(&field("quota_exhausted")?)?;
-        summary.bytes_blocked_sends = parse_num(&field("bytes_blocked_sends")?)?;
-        summary.devices_in_debt = parse_num(&field("devices_in_debt")?)?;
-        summary.forced_shutdowns = parse_num(&field("forced_shutdowns")?)?;
-        summary.offload_attempts = parse_num(&field("offload_attempts")?)?;
-        summary.offload_accepted = parse_num(&field("offload_accepted")?)?;
-        summary.offload_completed = parse_num(&field("offload_completed")?)?;
-        summary.offload_rejected = parse_num(&field("offload_rejected")?)?;
-        summary.offload_timed_out = parse_num(&field("offload_timed_out")?)?;
-        summary.offload_latency_us = parse_num(&field("offload_latency_us")?)?;
-        summary.offload_energy_uj = parse_num(&field("offload_energy_uj")?)?;
-        summary.policy_rerates = parse_num(&field("policy_rerates")?)?;
-        summary.policy_demotions = parse_num(&field("policy_demotions")?)?;
-        summary.lifetime_target_hits = parse_num(&field("lifetime_target_hits")?)?;
-        summary.presence_active_s = parse_num(&field("presence_active_s")?)?;
-        summary.presence_ambient_s = parse_num(&field("presence_ambient_s")?)?;
-        summary.presence_away_s = parse_num(&field("presence_away_s")?)?;
-        summary.presence_asleep_s = parse_num(&field("presence_asleep_s")?)?;
-        summary.link_flaps = parse_num(&field("link_flaps")?)?;
-        summary.link_down_us = parse_num(&field("link_down_us")?)?;
-        summary.flap_lost_bytes = parse_num(&field("flap_lost_bytes")?)?;
-        summary.crashes = parse_num(&field("crashes")?)?;
-        summary.restarts = parse_num(&field("restarts")?)?;
-        summary.retries = parse_num(&field("retries")?)?;
-        summary.retries_exhausted = parse_num(&field("retries_exhausted")?)?;
-        summary.fade_uj = parse_num(&field("fade_uj")?)?;
-        for name in [
-            "lifetime_h",
-            "avg_power_mw",
-            "radio_activations",
-            "starved_s",
-            "offload_latency_s",
-        ] {
-            let header = field("channel")?;
-            if header != name {
-                return Err(format!("expected channel {name}, got {header}"));
-            }
-            let cfg = field("cfg")?;
-            let [scale, lo, hi] = parse_bits_row::<3>(&cfg)?;
-            let mut ch = Channel::new(scale, lo, hi);
-            let counts_line = {
-                let count = field("count")?;
-                let mut it = count.split(' ');
-                ch.count = parse_num(it.next().unwrap_or(""))?;
-                ch.nonfinite = parse_num(it.next().unwrap_or(""))?;
-                ch.sum_fp = parse_num(&field("sum_fp")?)?;
-                let [min, max] = parse_bits_row::<2>(&field("minmax")?)?;
-                ch.min = min;
-                ch.max = max;
-                field("counts")?
-            };
-            let counts: Result<Vec<u64>, String> = counts_line.split(' ').map(parse_num).collect();
-            ch.counts = counts?;
-            if ch.counts.len() != STREAM_BINS {
-                return Err(format!("expected {STREAM_BINS} bins for {name}"));
-            }
-            match name {
-                "lifetime_h" => summary.lifetime_h = ch,
-                "avg_power_mw" => summary.avg_power_mw = ch,
-                "radio_activations" => summary.radio_activations = ch,
-                "starved_s" => summary.starved_s = ch,
-                _ => summary.offload_latency_s = ch,
-            }
+        if summary.devices != next_device || next_device > u64::from(fleet_devices) {
+            return Err(format!(
+                "checkpoint observed {} devices with next_device {next_device} of \
+                 fleet_devices {fleet_devices}; a resumable checkpoint has \
+                 observed == next_device <= fleet_devices",
+                summary.devices
+            ));
+        }
+        summary.totals = FleetTotals::read_text(&mut field)?;
+        for (name, ch) in summary.channels_mut() {
+            ch.read_text(name, &mut field)?;
         }
         let _ = field("checksum")?;
         if lines.next() != Some("end") {
@@ -917,7 +576,7 @@ impl FleetCheckpoint {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+pub(crate) fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad number `{s}`"))
 }
 
@@ -1201,6 +860,82 @@ mod tests {
         let truncated = &text[..text.rfind("checksum ").unwrap()];
         let err = FleetCheckpoint::from_text(truncated).unwrap_err();
         assert!(err.contains("missing its checksum"), "{err}");
+    }
+
+    /// `text` with the first `from` replaced by `to` and the checksum
+    /// recomputed: a crafted checkpoint, not a corrupted one.
+    fn recheck(text: &str, from: &str, to: &str) -> String {
+        let body = text[..text.rfind("checksum ").unwrap()].replacen(from, to, 1);
+        assert!(body.contains(to), "`{from}` not found");
+        format!("{body}checksum {:016x}\nend\n", fnv1a_64(body.as_bytes()))
+    }
+
+    fn eight_device_checkpoint() -> (Scenario, String) {
+        let scenario = Scenario {
+            horizon: SimDuration::from_secs(60),
+            ..Scenario::mixed("crafted", 5, 8)
+        };
+        let text = checkpoint_fleet(&scenario, 4, 1).to_text();
+        (scenario, text)
+    }
+
+    /// The first channel's `cfg` line and its three hex words.
+    fn first_cfg(text: &str) -> (&str, Vec<&str>) {
+        let line = text.lines().find(|l| l.starts_with("cfg ")).unwrap();
+        (line, line.split(' ').skip(1).collect())
+    }
+
+    #[test]
+    fn from_text_rejects_a_degenerate_channel_range() {
+        let (_, text) = eight_device_checkpoint();
+        let (line, w) = first_cfg(&text);
+        let crafted = recheck(&text, line, &format!("cfg {} {} {}", w[0], w[1], w[1]));
+        let err = FleetCheckpoint::from_text(&crafted).unwrap_err();
+        assert!(err.contains("lifetime_h cfg"), "{err}");
+    }
+
+    #[test]
+    fn from_text_rejects_a_foreign_channel_scale() {
+        let (scenario, text) = eight_device_checkpoint();
+        let (line, w) = first_cfg(&text);
+        let other = format!("cfg {:016x} {} {}", 1f64.to_bits(), w[1], w[2]);
+        let crafted = recheck(&text, line, &other);
+        let err = FleetCheckpoint::from_text(&crafted).unwrap_err();
+        assert!(err.contains("lifetime_h cfg"), "{err}");
+        // The untouched checkpoint still resumes.
+        let cp = FleetCheckpoint::from_text(&text).unwrap();
+        assert_eq!(resume_fleet(&cp, &scenario, 1).unwrap().summary.devices, 8);
+    }
+
+    #[test]
+    fn from_text_rejects_an_inconsistent_device_cursor() {
+        let (_, text) = eight_device_checkpoint();
+        // More devices observed than the cursor has passed: resuming would
+        // fold 7 + 4 devices into an 8-device fleet.
+        let crafted = recheck(&text, "observed 4", "observed 7");
+        let err = FleetCheckpoint::from_text(&crafted).unwrap_err();
+        assert!(err.contains("observed 7"), "{err}");
+        // A cursor past the end of the fleet.
+        let past_end = recheck(&text, "next_device 4", "next_device 9");
+        let past_end = recheck(&past_end, "observed 4", "observed 9");
+        let err = FleetCheckpoint::from_text(&past_end).unwrap_err();
+        assert!(err.contains("fleet_devices 8"), "{err}");
+    }
+
+    #[test]
+    fn from_text_rejects_a_zero_horizon() {
+        let (_, text) = eight_device_checkpoint();
+        let crafted = recheck(&text, "horizon_us 60000000", "horizon_us 0");
+        let err = FleetCheckpoint::from_text(&crafted).unwrap_err();
+        assert!(err.contains("horizon_us"), "{err}");
+    }
+
+    #[test]
+    fn from_text_rejects_bins_that_disagree_with_their_count() {
+        let (_, text) = eight_device_checkpoint();
+        let crafted = recheck(&text, "count 4 0", "count 5 0");
+        let err = FleetCheckpoint::from_text(&crafted).unwrap_err();
+        assert!(err.contains("counts sum to 4, not its count 5"), "{err}");
     }
 
     #[test]

@@ -35,21 +35,29 @@ fn fault_fleet_is_worker_invariant_with_live_faults() {
     let retained_one = run_fleet_with(&scenario, 1);
     let streamed_one = stream_fleet_with(&scenario, 1);
     let summary = retained_one.summary();
-    assert!(summary.link_flaps > 0, "{}", retained_one.to_json());
-    assert!(summary.link_down_us > 0, "{}", retained_one.to_json());
-    assert!(summary.crashes > 0, "{}", retained_one.to_json());
     assert!(
-        summary.restarts > 0,
+        summary.totals.link_flaps() > 0,
+        "{}",
+        retained_one.to_json()
+    );
+    assert!(
+        summary.totals.link_down_us() > 0,
+        "{}",
+        retained_one.to_json()
+    );
+    assert!(summary.totals.crashes() > 0, "{}", retained_one.to_json());
+    assert!(
+        summary.totals.restarts() > 0,
         "killed programs must come back: {}",
         retained_one.to_json()
     );
     assert!(
-        summary.retries > 0,
+        summary.totals.retries() > 0,
         "outages and flaps must trigger backoff: {}",
         retained_one.to_json()
     );
     assert!(
-        summary.fade_j > 0.0,
+        summary.totals.fade_j() > 0.0,
         "aged batteries must fade: {}",
         retained_one.to_json()
     );
@@ -72,18 +80,12 @@ fn fault_fleet_is_worker_invariant_with_live_faults() {
             "{threads} workers (JSON)"
         );
     }
-    // The streaming path sees the same exact fault totals as the retained
-    // path (its percentiles are estimates, so whole-JSON equality across
-    // paths is not expected).
+    // The streaming path folds devices through the same exact totals as
+    // the retained path, fault ledger and fade included (its percentiles
+    // are estimates, so whole-JSON equality across paths is not expected).
     let s = &streamed_one.summary;
-    assert_eq!(s.link_flaps(), u128::from(summary.link_flaps));
-    assert_eq!(s.link_down_us(), u128::from(summary.link_down_us));
-    assert_eq!(s.flap_lost_bytes(), u128::from(summary.flap_lost_bytes));
-    assert_eq!(s.crashes(), u128::from(summary.crashes));
-    assert_eq!(s.restarts(), u128::from(summary.restarts));
-    assert_eq!(s.retries(), u128::from(summary.retries));
-    assert_eq!(s.retries_exhausted(), u128::from(summary.retries_exhausted));
-    assert!((s.fade_j() - summary.fade_j).abs() < 1e-9);
+    assert_eq!(s.devices, summary.devices);
+    assert_eq!(s.totals, summary.totals);
 }
 
 #[test]

@@ -61,8 +61,12 @@ fn data_plan_fleet_counts_exhausted_devices() {
     };
     let report = run_fleet_with(&generous, 4);
     let summary = report.summary();
-    assert_eq!(summary.quota_exhausted, 0, "{}", report.to_json());
-    assert_eq!(summary.bytes_blocked_sends, 0, "no send should block");
+    assert_eq!(summary.totals.quota_exhausted(), 0, "{}", report.to_json());
+    assert_eq!(
+        summary.totals.bytes_blocked_sends(),
+        0,
+        "no send should block"
+    );
     assert!(
         report.devices.iter().all(|d| d.quota_remaining_bytes > 0),
         "every device should retain plan bytes"
@@ -75,14 +79,14 @@ fn data_plan_fleet_counts_exhausted_devices() {
     let report = run_fleet_with(&tiny, 4);
     let summary = report.summary();
     let recount = report.devices.iter().filter(|d| d.quota_exhausted).count();
-    assert_eq!(summary.quota_exhausted, recount);
+    assert_eq!(summary.totals.quota_exhausted(), recount as u64);
     assert!(
-        summary.quota_exhausted >= 6,
+        summary.totals.quota_exhausted() >= 6,
         "a 40 KB plan must die within the hour on most devices: {}",
         report.to_json()
     );
     assert!(
-        summary.bytes_blocked_sends >= summary.quota_exhausted as u64,
+        summary.totals.bytes_blocked_sends() >= u128::from(summary.totals.quota_exhausted()),
         "every exhausted device held at least one send in the kernel"
     );
 }
@@ -106,7 +110,7 @@ fn mid_hour_exhaustion_throttles_the_fleet_online() {
     let free_report = run_fleet_with(&free, 4);
     let summary = capped_report.summary();
     assert!(
-        summary.quota_exhausted >= 8,
+        summary.totals.quota_exhausted() >= 8,
         "a half-hour plan must die mid-run on nearly every device: {}",
         capped_report.to_json()
     );
@@ -155,7 +159,7 @@ fn all_workload_tags_are_thread_invariant() {
     }
     let summary = single.summary();
     assert!(
-        summary.peripheral_energy_j > 100.0,
+        summary.totals.peripheral_energy_j() > 100.0,
         "peripheral devices must burn real energy: {}",
         single.to_json()
     );
@@ -195,7 +199,7 @@ fn peripheral_telemetry_reflects_workload_structure() {
         .iter()
         .map(|d| d.backlight_shutdowns + d.gps_shutdowns)
         .sum();
-    assert_eq!(summary.forced_shutdowns, recount);
+    assert_eq!(summary.totals.forced_shutdowns(), u128::from(recount));
 }
 
 /// Mixture landmarks survive aggregation: coop pollers activate the radio
@@ -212,7 +216,7 @@ fn aggregate_telemetry_reflects_workload_structure() {
             .devices
             .iter()
             .filter(|d| d.workload == tag)
-            .map(|d| f(&d))
+            .map(f)
             .collect();
         assert!(!xs.is_empty(), "no {tag} devices in the mixture");
         xs.iter().sum::<f64>() / xs.len() as f64

@@ -61,39 +61,34 @@ fn offload_heavy_summary_prices_the_economy() {
     let scenario = offload_scenario(7, 16, 64);
     let report = run_fleet_with(&scenario, 4);
     let summary = report.summary();
-    assert!(summary.offload_attempts > 0, "{}", report.to_json());
-    assert!(summary.offload_completed > 0, "{}", report.to_json());
     assert!(
-        summary.offload_accepted >= summary.offload_completed,
+        summary.totals.offload_attempts() > 0,
+        "{}",
+        report.to_json()
+    );
+    assert!(
+        summary.totals.offload_completed() > 0,
+        "{}",
+        report.to_json()
+    );
+    assert!(
+        summary.totals.offload_accepted() >= summary.totals.offload_completed(),
         "{}",
         report.to_json()
     );
     let lat = summary.offload_latency_s.expect("completed requests");
     assert!(lat.mean > 0.0 && lat.p99 >= lat.p50, "{lat:?}");
     assert!(
-        summary.joules_per_request > 0.0,
+        summary.totals.joules_per_request() > 0.0,
         "remote work costs radio energy: {}",
         report.to_json()
     );
 
+    // Every exact total, joules-per-request's numerator and denominator
+    // included, agrees bit-for-bit with the streamed path.
     let streamed = stream_fleet_with(&scenario, 4).summary;
-    assert_eq!(
-        summary.offload_attempts as u128,
-        streamed.offload_attempts()
-    );
-    assert_eq!(
-        summary.offload_completed as u128,
-        streamed.offload_completed()
-    );
-    assert_eq!(
-        summary.offload_rejected as u128,
-        streamed.offload_rejected()
-    );
-    assert_eq!(
-        summary.offload_timed_out as u128,
-        streamed.offload_timed_out()
-    );
-    assert!((summary.joules_per_request - streamed.joules_per_request()).abs() < 1e-6);
+    assert_eq!(summary.devices, streamed.devices);
+    assert_eq!(summary.totals, streamed.totals);
 }
 
 /// The saturation feedback loop reaches the aggregates: shrinking the
@@ -117,10 +112,10 @@ fn shrinking_the_backend_pushes_work_local() {
     let wide = wide_report.summary();
     let narrow = narrow_report.summary();
     assert!(
-        narrow.offload_completed < wide.offload_completed,
+        narrow.totals.offload_completed() < wide.totals.offload_completed(),
         "narrow {} vs wide {}",
-        narrow.offload_completed,
-        wide.offload_completed
+        narrow.totals.offload_completed(),
+        wide.totals.offload_completed()
     );
     // Items keep completing either way — locally when the backend can't.
     // (Local compute is slower than a round trip, so a throttled device may
@@ -163,9 +158,9 @@ fn offload_disabled_fleet_is_byte_identical_to_baseline() {
         );
     }
     let summary = report.summary();
-    assert_eq!(summary.offload_attempts, 0);
+    assert_eq!(summary.totals.offload_attempts(), 0);
     assert!(summary.offload_latency_s.is_none());
-    assert_eq!(summary.joules_per_request, 0.0);
+    assert_eq!(summary.totals.joules_per_request(), 0.0);
 
     // An offload profile is pure configuration: with no offloader in the
     // mix it must not perturb a single byte of the fleet report.
@@ -215,7 +210,7 @@ fn split_run_equals_single_run_with_offloaders() {
     let scenario = offload_scenario(23, 18, 8);
     let single = stream_fleet_with(&scenario, 1);
     assert!(
-        single.summary.offload_completed() > 0,
+        single.summary.totals.offload_completed() > 0,
         "the mix must actually offload: {}",
         single.to_json()
     );

@@ -33,7 +33,7 @@ fn policy_fleet_is_worker_invariant() {
     let retained_one = run_fleet_with(&scenario, 1);
     let streamed_one = stream_fleet_with(&scenario, 1);
     assert!(
-        streamed_one.summary.policy_rerates() > 0,
+        streamed_one.summary.totals.policy_rerates() > 0,
         "a user-aware fleet must actually re-rate taps"
     );
     for threads in [2usize, 4] {
@@ -142,8 +142,8 @@ fn user_aware_policy_extends_lifetime_over_no_policy() {
         policy: None,
         ..aware.clone()
     };
-    let with = stream_fleet_with(&aware, 2).summary;
-    let without = stream_fleet_with(&bare, 2).summary;
+    let with = stream_fleet_with(&aware, 2).summary.totals;
+    let without = stream_fleet_with(&bare, 2).summary.totals;
     assert!(
         with.fleet_energy_j() < without.fleet_energy_j(),
         "throttling must save energy: {} vs {} J",

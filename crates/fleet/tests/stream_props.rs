@@ -51,20 +51,22 @@ fn streaming_totals_match_the_retained_report() {
     };
     let retained = run_fleet_with(&scenario, 3).summary();
     let streamed = stream_fleet_with(&scenario, 3).summary;
-    assert_eq!(retained.devices as u64, streamed.devices);
-    assert_eq!(retained.quota_exhausted as u64, streamed.quota_exhausted());
-    assert_eq!(
-        retained.bytes_blocked_sends as u128,
-        streamed.bytes_blocked_sends()
-    );
-    assert_eq!(retained.devices_in_debt as u64, streamed.devices_in_debt());
-    assert_eq!(
-        retained.forced_shutdowns as u128,
-        streamed.forced_shutdowns()
-    );
-    // Integer-backed totals agree with the retained float sums.
-    assert!((retained.fleet_energy_j - streamed.fleet_energy_j()).abs() < 1e-6);
-    assert!((retained.peripheral_energy_j - streamed.peripheral_energy_j()).abs() < 1e-6);
+    assert_eq!(retained.devices, streamed.devices);
+    // Both paths fold devices through the same exact integer totals.
+    assert_eq!(retained.totals, streamed.totals);
+    // Every distribution's min and max are exact in both paths.
+    let view = streamed.fleet_summary();
+    let pairs = [
+        (&retained.lifetime_h, &view.lifetime_h),
+        (&retained.avg_power_mw, &view.avg_power_mw),
+        (&retained.radio_activations, &view.radio_activations),
+        (&retained.starved_s, &view.starved_s),
+        (&retained.offload_latency_s, &view.offload_latency_s),
+    ];
+    for (exact, estimated) in pairs {
+        let bounds = |s: &Option<cinder_sim::Summary>| s.as_ref().map(|s| (s.min, s.max));
+        assert_eq!(bounds(exact), bounds(estimated));
+    }
     let lt_retained = retained.lifetime_h.expect("non-empty fleet");
     let lt_streamed = streamed.lifetime_h.summary().expect("non-empty fleet");
     // min/max/mean are exact in both paths.
@@ -116,7 +118,7 @@ fn device_report_is_independent_of_fleet_size_and_chunking() {
     let report = run_fleet_with(&big, 4);
     for id in [0usize, 5, 15, 16, 31, 39] {
         assert_eq!(
-            report.devices.get(id),
+            report.devices[id],
             simulate_device(&big.spec_for(id as u64)),
             "device {id}"
         );

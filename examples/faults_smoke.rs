@@ -70,18 +70,18 @@ fn main() {
         "fleet: {} devices — {} flaps ({:.0} s down), {} crashes / {} restarts, \
          {} retries ({} exhausted), {:.0} J fade, {}/{} lifetime targets hit",
         s.devices,
-        s.link_flaps,
-        s.link_down_us as f64 / 1e6,
-        s.crashes,
-        s.restarts,
-        s.retries,
-        s.retries_exhausted,
-        s.fade_j,
-        s.lifetime_target_hits,
+        s.totals.link_flaps(),
+        s.totals.link_down_us() as f64 / 1e6,
+        s.totals.crashes(),
+        s.totals.restarts(),
+        s.totals.retries(),
+        s.totals.retries_exhausted(),
+        s.totals.fade_j(),
+        s.totals.lifetime_target_hits(),
         s.devices
     );
-    assert!(s.link_flaps > 0 && s.crashes > 0 && s.restarts > 0);
-    assert!(s.retries > 0, "the resilience layer must engage");
-    assert!(s.fade_j > 0.0, "batteries must age");
+    assert!(s.totals.link_flaps() > 0 && s.totals.crashes() > 0 && s.totals.restarts() > 0);
+    assert!(s.totals.retries() > 0, "the resilience layer must engage");
+    assert!(s.totals.fade_j() > 0.0, "batteries must age");
     println!("faults smoke: OK");
 }

@@ -49,13 +49,13 @@ fn main() {
     let summary = report.summary();
     if peripheral_mix {
         assert!(
-            summary.peripheral_energy_j > 0.0,
+            summary.totals.peripheral_energy_j() > 0.0,
             "the peripheral mixture must burn backlight/GPS energy"
         );
         println!(
             "peripherals: {:.1} kJ drained, {} forced shutdowns across the fleet",
-            summary.peripheral_energy_j / 1e3,
-            summary.forced_shutdowns
+            summary.totals.peripheral_energy_j() / 1e3,
+            summary.totals.forced_shutdowns()
         );
     }
     let lifetime = summary.lifetime_h.expect("non-empty fleet");

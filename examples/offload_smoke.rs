@@ -111,18 +111,21 @@ fn main() {
         "offload fleet must not depend on the worker count"
     );
     let summary = report.summary();
-    assert!(summary.offload_completed > 0, "the fleet must offload");
+    assert!(
+        summary.totals.offload_completed() > 0,
+        "the fleet must offload"
+    );
     let lat = summary.offload_latency_s.expect("completed requests");
     println!(
         "fleet: {} devices — {} requests completed ({} rejected, {} timed out), \
          latency p50 {:.0} ms p99 {:.0} ms, {:.1} J/request",
         scenario.devices,
-        summary.offload_completed,
-        summary.offload_rejected,
-        summary.offload_timed_out,
+        summary.totals.offload_completed(),
+        summary.totals.offload_rejected(),
+        summary.totals.offload_timed_out(),
         lat.p50 * 1e3,
         lat.p99 * 1e3,
-        summary.joules_per_request
+        summary.totals.joules_per_request()
     );
     println!("offload smoke: OK");
 }

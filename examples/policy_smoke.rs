@@ -79,16 +79,16 @@ fn main() {
         "fleet: {} devices — user-aware hits {}/{} lifetime targets vs {}/{} without \
          a policy ({:.1} kJ vs {:.1} kJ, {} re-rates, {} demotions)",
         on.devices,
-        aware.lifetime_target_hits,
+        aware.totals.lifetime_target_hits(),
         aware.devices,
-        none.lifetime_target_hits,
+        none.totals.lifetime_target_hits(),
         none.devices,
-        aware.fleet_energy_j / 1e3,
-        none.fleet_energy_j / 1e3,
-        aware.policy_rerates,
-        aware.policy_demotions
+        aware.totals.fleet_energy_j() / 1e3,
+        none.totals.fleet_energy_j() / 1e3,
+        aware.totals.policy_rerates(),
+        aware.totals.policy_demotions()
     );
-    assert!(aware.lifetime_target_hits > none.lifetime_target_hits);
-    assert!(aware.fleet_energy_j < none.fleet_energy_j);
+    assert!(aware.totals.lifetime_target_hits() > none.totals.lifetime_target_hits());
+    assert!(aware.totals.fleet_energy_j() < none.totals.fleet_energy_j());
     println!("policy smoke: OK");
 }
